@@ -10,9 +10,9 @@ can be overridden with the environment variables ``ENTDIST_GRID_POINTS``
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -48,7 +48,7 @@ def _parse_grid(spec: str):
         points = int(parts[2])
     except ValueError:
         raise argparse.ArgumentTypeError(f"malformed grid {spec!r}") from None
-    if points < 1 or hi < lo:
+    if points < 1 or not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise argparse.ArgumentTypeError(f"bad grid range {spec!r}")
     return np.linspace(lo, hi, points)
 
@@ -63,43 +63,23 @@ def _out_path(arg: str | None) -> Path | None:
     return path
 
 
-def _chunks(seq, n_chunks):
-    size = max(1, (len(seq) + n_chunks - 1) // n_chunks)
-    return [seq[i : i + size] for i in range(0, len(seq), size)]
-
-
-def _purify_rows_chunk(args):
-    grid_chunk, protocol, twirled, rounds = args
-    rows = []
-    for f in grid_chunk:
-        trace = purify.run_rounds(protocol, rounds, f_in=float(f), twirled=twirled)
-        rows.extend(_trace_rows(float(f), trace))
-    return rows
-
-
-def _trace_rows(f_label, trace):
-    rows = []
-    for i, rec in enumerate(trace.rounds, start=1):
-        d = rec.dist
-        rows.append(
-            [f_label, i, d.p_i, d.p_x, d.p_y, d.p_z, rec.p_discard, rec.p_total_discard, rec.rate]
+def _purify_rows(protocol, rounds, twirled, start):
+    """Purify table rows, one per start column and round, from a single
+    array recurrence over every start column at once."""
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
+    per_round = [
+        np.stack([*comps, p_discard, p_total, rate])
+        for _, p_discard, comps, p_total, rate in purify._recurrence(
+            protocol, start, rounds, twirled
         )
-    return rows
-
-
-def _scan_chunk(args):
-    grid_chunk, code_name, max_rounds, baseline_d = args
-    return hybrid.checkpoint_scan(
-        code_name, grid_chunk, max_rounds=max_rounds, baseline_min_d=baseline_d
-    )
-
-
-def _pmap(func, work_items, jobs: int):
-    """Order-preserving map over work chunks, optionally across processes."""
-    if jobs <= 1 or len(work_items) <= 1:
-        return [func(item) for item in work_items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(func, work_items))
+    ]
+    values = np.stack(per_round).transpose(2, 0, 1).tolist()  # (column, round, value)
+    return [
+        [f, n, *v]
+        for f, column in zip(start[0].tolist(), values)
+        for n, v in enumerate(column, start=1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -194,26 +174,24 @@ def _cmd_purify(args) -> int:
         if len(args.input_dist) != 4:
             raise ValueError("--input-dist needs exactly 4 probabilities: PI,PX,PY,PZ")
         dist = purify.PauliDistribution(*args.input_dist).validate()
-        trace = purify.run_rounds(args.protocol, args.rounds, dist=dist, twirled=twirled)
-        rows = _trace_rows(dist.p_i, trace)
+        start = tuple(np.array([v]) for v in dist.as_tuple())
     else:
         grid = args.grid if args.grid is not None else np.linspace(0.0, 1.0, _env_points(10000))
-        chunks = _chunks(list(grid), max(args.jobs, 1) * 4)
-        work = [(chunk, args.protocol, twirled, args.rounds) for chunk in chunks]
-        rows = [row for part in _pmap(_purify_rows_chunk, work, args.jobs) for row in part]
+        if not ((grid >= 0.0) & (grid <= 1.0)).all():
+            raise ValueError("fidelity must lie in [0, 1]")
+        e = (1.0 - grid) / 3.0  # depolarizing start
+        start = (grid, e, e, e)
+    rows = _purify_rows(args.protocol, args.rounds, twirled, start)
     columns = ["f_in", "round", "p_i", "p_x", "p_y", "p_z", "p_discard", "p_total_discard", "rate"]
     emit(columns, rows, _out_path(args.output), args.format)
     return 0
 
 
 def _cmd_hybrid(args) -> int:
-    if args.grid is not None:
-        grid = args.grid
-    else:
-        grid = hybrid.default_scan_grid(_env_points(10000))
-    chunks = _chunks(list(grid), max(args.jobs, 1) * 4)
-    work = [(chunk, args.code, args.max_rounds, args.baseline_d) for chunk in chunks]
-    scan = [p for part in _pmap(_scan_chunk, work, args.jobs) for p in part]
+    grid = args.grid if args.grid is not None else hybrid.default_scan_grid(_env_points(10000))
+    scan = hybrid.checkpoint_scan(
+        args.code, grid, max_rounds=args.max_rounds, baseline_min_d=args.baseline_d
+    )
     columns = [
         "f_in", "i_pre", "i_match", "f_out_dejmps", "f_out_hybrid",
         "rate_dejmps", "rate_hybrid", "E_dejmps", "E_hybrid", "winner",
@@ -300,7 +278,6 @@ def _comma_floats(spec: str):
 def _add_common(sub):
     sub.add_argument("--output", "-o", help="output file (default: stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--jobs", type=int, default=1, help="worker processes for grid sweeps")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .purify import PROTOCOLS
+from .purify import _check_protocol, _recurrence
 
 __all__ = ["ConvergenceTrace", "IdentityReport", "iterate", "check_identities"]
 
@@ -53,31 +53,20 @@ def iterate(protocol: str, start, n_max: int) -> ConvergenceTrace:
     ``start`` is (a_0, b_0, c_0, d_0); the convergence hypotheses are enforced:
     a_0 > 1/2, the rest strictly positive, components summing to 1.
     """
-    protocol = protocol.lower()
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
+    protocol = _check_protocol(protocol)
     a0, b0, c0, d0 = (float(v) for v in start)
     if a0 <= 0.5:
         raise ValueError(f"hypothesis violated: a_0 = {a0} must exceed 1/2")
     if min(b0, c0, d0) <= 0.0:
         raise ValueError("hypothesis violated: b_0, c_0, d_0 must be strictly positive")
     total = a0 + b0 + c0 + d0
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:  # negated, so that NaN fails it too
         raise ValueError(f"hypothesis violated: components sum to {total}, expected 1")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
 
-    rows = np.empty((n_max + 1, 4), dtype=float)
-    rows[0] = (a0, b0, c0, d0)
-    for i in range(n_max):
-        a, b, c, d = rows[i]
-        if protocol == "bbpssw":
-            p = (a * a + d * d, b * b + c * c, 2.0 * b * c, 2.0 * a * d)
-        else:
-            p = (a * a + c * c, b * b + d * d, 2.0 * b * d, 2.0 * a * c)
-        pt = p[0] + p[1] + p[2] + p[3]
-        rows[i + 1] = (p[0] / pt, p[1] / pt, p[2] / pt, p[3] / pt)
-
+    start = (a0, b0, c0, d0)
+    rows = np.array([start] + [comps for _, _, comps, _, _ in _recurrence(protocol, start, n_max)])
     a, b, c, d = rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]
     if protocol == "bbpssw":
         s, t = a + d, b + c
@@ -135,7 +124,8 @@ def _finite_prefix(u: np.ndarray) -> np.ndarray:
 
 
 def _check_bbpssw(trace, u_rel_tol, q_abs_tol, log_rel_tol) -> IdentityReport:
-    u = _finite_prefix(trace.u)
+    # Python floats throughout, so the report holds plain bool and float
+    u = _finite_prefix(trace.u).tolist()
     log_u0 = math.log(u[0])
     max_rel = 0.0
     checked = 0
@@ -149,7 +139,7 @@ def _check_bbpssw(trace, u_rel_tol, q_abs_tol, log_rel_tol) -> IdentityReport:
         elif u[n] > 0.0:
             # past representability, compare in log space
             max_log_rel = max(max_log_rel, abs(math.log(u[n]) - target_log) / target_log)
-    q = trace.q[: len(u)]
+    q = trace.q[: len(u)].tolist()
     q_res = 0.0
     for n in range(len(q) - 1):
         if math.isfinite(q[n]) and math.isfinite(q[n + 1]):

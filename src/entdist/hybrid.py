@@ -27,7 +27,7 @@ import numpy as np
 
 from .codes import builtin_code
 from .decoder import LogicalFidelityPolynomial, builtin_polynomial, eval_qec_map
-from .purify import PauliDistribution, purify_step, twirl
+from .purify import _recurrence
 from .werner import distillable_entanglement
 
 __all__ = [
@@ -77,20 +77,21 @@ def builtin_threshold(code_name: str) -> float:
     return pseudo_threshold(builtin_polynomial(code_name), tol=1e-9)
 
 
-def _dejmps_trace(f_in: float, max_rounds: int):
-    """Fidelities and cumulative discard of DEJMPS (no twirl) from a
-    depolarizing start; index i = after i rounds."""
-    dist = PauliDistribution.from_fidelity(f_in)
-    fids = [f_in]
-    discards = [0.0]
-    p_total = 0.0
-    for _ in range(max_rounds):
-        step = purify_step("dejmps", dist)
-        dist = step.dist
-        p_total = p_total + (1.0 - p_total) * step.p_discard
-        fids.append(dist.fidelity)
-        discards.append(p_total)
-    return fids, discards
+def _dejmps_trace(f_in, max_rounds: int):
+    """Fidelities and cumulative discards of DEJMPS (no twirl) from a
+    depolarizing start, index i = after i rounds.  A float ``f_in`` gives
+    two lists of floats; a 1-D grid gives two lists of arrays, which stack
+    into (max_rounds + 1, N) tables, one column per grid point."""
+    e = (1.0 - f_in) / 3.0
+    rounds = list(_recurrence("dejmps", (f_in, e, e, e), max_rounds))
+    # f_in * 0.0: a zero discard shaped like the input
+    return [f_in] + [r[2][0] for r in rounds], [f_in * 0.0] + [r[3] for r in rounds]
+
+
+def _first_true(table: np.ndarray):
+    """Per column of a boolean table, the first true row (0 if none) and
+    whether there is one."""
+    return table.argmax(axis=0), table.any(axis=0)
 
 
 def min_rounds_to_fidelity(f_in: float, target: float, *, max_rounds: int = 40) -> int | None:
@@ -136,6 +137,8 @@ def hybrid_run(
     max_rounds: int = 40,
 ) -> HybridResult:
     """DEJMPS to the code's pseudo-threshold, Werner twirl, one QEC round."""
+    if not 0.0 <= f_in <= 1.0:
+        raise ValueError("fidelity must lie in [0, 1]")
     code = builtin_code(code_name)
     poly = builtin_polynomial(code_name)
     if threshold is None:
@@ -146,9 +149,8 @@ def hybrid_run(
         raise ValueError(
             f"threshold {threshold:.6f} not reachable from F={f_in} in {max_rounds} rounds"
         )
-    # the twirl symmetrizes the Z bias without changing the fidelity
-    purified = twirl(PauliDistribution.from_fidelity(fids[i_pre]))
-    f_out = eval_qec_map(poly, purified.fidelity)
+    # the Werner twirl keeps the fidelity, which is all the QEC map reads
+    f_out = eval_qec_map(poly, fids[i_pre])
     p_total = discards[i_pre]
     rate = code.k / (2.0**i_pre * code.n) * (1.0 - p_total)
     i_match = next((i for i, f in enumerate(fids) if f >= f_out), None)
@@ -168,8 +170,7 @@ def baseline_distillable(
     if d0 >= min_d:
         return d0, 0
     fids, _ = _dejmps_trace(f_in, max_rounds)
-    for i, f in enumerate(fids):
-        d = distillable_entanglement(f)
+    for i, d in enumerate(distillable_entanglement(fids).tolist()):
         if d >= min_d:
             return d, i
     raise ValueError(
@@ -232,7 +233,10 @@ def checkpoint_scan(
     max_rounds: int = 40,
     baseline_min_d: float = DEFAULT_BASELINE_D,
 ) -> list[ScanPoint]:
-    """Evaluate hybrid vs matching pure DEJMPS across an input grid.
+    """Evaluate hybrid vs matching pure DEJMPS across an input grid, as
+    array ops on one (max_rounds + 1, N) DEJMPS trace table: i_pre, i_match
+    and the baseline round are first rows meeting a bar.  Each point equals
+    :func:`hybrid_run` and :func:`refined_efficiency` on it, bit for bit.
 
     Jumps in i_pre / i_match across the grid are the checkpoints; they
     crowd together near F = 0.5 where each round gains little.
@@ -240,55 +244,57 @@ def checkpoint_scan(
     if grid is None:
         grid = default_scan_grid()
     grid = np.asarray(grid, dtype=float)
-    if np.any(grid <= 0.501 - 1e-12) or np.any(grid >= 1.0):
-        raise ValueError("scan grid must lie inside [0.501, 1)")
+    inside = (grid > 0.501 - 1e-12) & (grid < 1.0)  # False for NaN
+    if not inside.all():
+        raise ValueError(f"scan grid must lie inside [0.501, 1), got {grid[~inside][0]}")
     code = builtin_code(code_name)
     poly = builtin_polynomial(code_name)
     threshold = builtin_threshold(code_name)
-    points: list[ScanPoint] = []
-    for f_in in grid:
-        f_in = float(f_in)
-        fids, discards = _dejmps_trace(f_in, max_rounds)
-        i_pre = next((i for i, f in enumerate(fids) if f >= threshold), None)
-        if i_pre is None:
-            raise ValueError(
-                f"threshold not reachable from F={f_in} in {max_rounds} rounds; raise max_rounds"
-            )
-        f_hybrid = eval_qec_map(poly, fids[i_pre])
-        rate_hybrid = code.k / (2.0**i_pre * code.n) * (1.0 - discards[i_pre])
-        hybrid_sr = StrategyResult(
-            "hybrid", f_in, f_hybrid, code.k / (2.0**i_pre * code.n), discards[i_pre]
+    fids, discards = (np.array(rows) for rows in _dejmps_trace(grid, max_rounds))
+    cols = np.arange(grid.size)
+
+    i_pre, reached = _first_true(fids >= threshold)
+    if not reached.all():
+        bad = grid[~reached][0]
+        raise ValueError(
+            f"threshold not reachable from F={bad} in {max_rounds} rounds; raise max_rounds"
         )
-        i_match = next((i for i, f in enumerate(fids) if f >= f_hybrid), None)
-        if i_match is not None:
-            f_dejmps = fids[i_match]
-            rate_dejmps = (1.0 - discards[i_match]) / 2.0**i_match
-            dejmps_sr = StrategyResult(
-                "dejmps", f_in, f_dejmps, 1.0 / 2.0**i_match, discards[i_match]
-            )
-            eff_dejmps = refined_efficiency(
-                dejmps_sr, baseline_min_d=baseline_min_d, max_rounds=max_rounds
-            )
-        else:
-            f_dejmps = fids[-1]
-            rate_dejmps = (1.0 - discards[-1]) / 2.0 ** (len(fids) - 1)
-            eff_dejmps = 0.0
-        eff_hybrid = refined_efficiency(
-            hybrid_sr, baseline_min_d=baseline_min_d, max_rounds=max_rounds
+    d_table = distillable_entanglement(fids)
+    i_base, reached = _first_true(d_table >= baseline_min_d)
+    if not reached.all():
+        bad = grid[~reached][0]
+        raise ValueError(
+            f"distillable entanglement {baseline_min_d} not reachable from F={bad} "
+            f"in {max_rounds} rounds"
         )
-        winner = "hybrid" if eff_hybrid > eff_dejmps else "dejmps"
-        points.append(
-            ScanPoint(
-                f_in,
-                i_pre,
-                i_match,
-                f_dejmps,
-                float(f_hybrid),
-                rate_dejmps,
-                rate_hybrid,
-                eff_dejmps,
-                eff_hybrid,
-                winner,
-            )
+    d_base = d_table[i_base, cols]
+
+    f_hybrid = eval_qec_map(poly, fids[i_pre, cols])
+    ratio_hybrid = code.k / (2.0**i_pre * code.n)
+    survival = 1.0 - discards[i_pre, cols]
+    rate_hybrid = ratio_hybrid * survival
+    eff_hybrid = np.maximum(
+        ratio_hybrid * distillable_entanglement(f_hybrid) / d_base * survival, 0.0
+    )
+
+    i_match, matched = _first_true(fids >= f_hybrid)
+    # unmatched points report the last round and score zero
+    i_dejmps = np.where(matched, i_match, len(fids) - 1)
+    f_dejmps = fids[i_dejmps, cols]
+    survival = 1.0 - discards[i_dejmps, cols]
+    rate_dejmps = survival / 2.0**i_dejmps
+    eff_dejmps = np.where(
+        matched,
+        np.maximum(1.0 / 2.0**i_dejmps * d_table[i_dejmps, cols] / d_base * survival, 0.0),
+        0.0,
+    )
+    winner = np.where(eff_hybrid > eff_dejmps, "hybrid", "dejmps")
+    i_match = [i if m else None for i, m in zip(i_match.tolist(), matched.tolist())]
+    return [
+        ScanPoint(*row)
+        for row in zip(
+            grid.tolist(), i_pre.tolist(), i_match, f_dejmps.tolist(), f_hybrid.tolist(),
+            rate_dejmps.tolist(), rate_hybrid.tolist(), eff_dejmps.tolist(),
+            eff_hybrid.tolist(), winner.tolist(),
         )
-    return points
+    ]

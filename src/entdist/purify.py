@@ -15,9 +15,10 @@ BBPSSW map preceded by the X-axis pre-rotations, which act on the error
 components as a plain Y/Z relabeling.
 
 Every query runs the recursion directly; the map is effectively step-like
-near F = 0.5 so nothing here is ever grid-interpolated.  An independent
-16-branch Pauli-frame circuit oracle (:func:`circuit_oracle`) reproduces
-the same maps from the actual two-pair circuit.
+near F = 0.5 so nothing here is ever grid-interpolated.  One kernel,
+:func:`_recurrence`, runs every round in the package, on floats or arrays.
+An independent 16-branch Pauli-frame circuit oracle (:func:`circuit_oracle`)
+reproduces the same maps from the actual two-pair circuit.
 """
 
 from __future__ import annotations
@@ -76,10 +77,11 @@ class PauliDistribution:
 
     def validate(self, tol: float = 1e-9) -> "PauliDistribution":
         values = self.as_tuple()
-        if any(v < -tol for v in values):
-            raise ValueError(f"negative component in {values}")
+        # negated comparisons, so that NaN fails them too
+        if not all(v >= -tol for v in values):
+            raise ValueError(f"negative or NaN component in {values}")
         total = sum(values)
-        if abs(total - 1.0) > tol:
+        if not abs(total - 1.0) <= tol:
             raise ValueError(f"components sum to {total}, expected 1")
         return self
 
@@ -94,20 +96,38 @@ class PurifyStep:
     dist: PauliDistribution
 
 
-def _step_components(protocol: str, p) -> tuple[float, float, float, float]:
-    i, x, y, z = p
+def _step(protocol: str, i, x, y, z):
+    """One round on components that are all floats or all equal-shape
+    arrays (plain arithmetic, so floats stay floats): the survivor
+    components, their sum and the discard probability."""
     if protocol == "bbpssw":
-        return (i * i + z * z, x * x + y * y, 2.0 * x * y, 2.0 * i * z)
-    return (i * i + y * y, x * x + z * z, 2.0 * x * z, 2.0 * i * y)
+        raw = (i * i + z * z, x * x + y * y, 2.0 * x * y, 2.0 * i * z)
+    else:
+        raw = (i * i + y * y, x * x + z * z, 2.0 * x * z, 2.0 * i * y)
+    kept = raw[0] + raw[1] + raw[2] + raw[3]
+    # exact max(1 - kept, 0) for floats and arrays; it only guards rounding
+    shortfall = 1.0 - kept
+    return raw, kept, (shortfall + abs(shortfall)) * 0.5
+
+
+def _recurrence(protocol: str, comps, rounds: int, twirled: bool = False):
+    """Iterate :func:`_step` from ``comps`` = (P_I, P_X, P_Y, P_Z), twirling
+    after each round if asked, and yield (raw, p_discard, components,
+    p_total_discard, rate) per round; rate n = (1 - P_total_discard) / 2^n."""
+    p_total = 0.0
+    for n in range(1, rounds + 1):
+        raw, kept, p_discard = _step(protocol, *comps)
+        comps = (raw[0] / kept, raw[1] / kept, raw[2] / kept, raw[3] / kept)
+        if twirled:
+            e = (1.0 - comps[0]) / 3.0
+            comps = (comps[0], e, e, e)
+        p_total = p_total + (1.0 - p_total) * p_discard
+        yield raw, p_discard, comps, p_total, (1.0 - p_total) / 2.0**n
 
 
 def purify_step(protocol: str, dist: PauliDistribution) -> PurifyStep:
-    protocol = _check_protocol(protocol)
-    raw = _step_components(protocol, dist.as_tuple())
-    kept = raw[0] + raw[1] + raw[2] + raw[3]
-    p_discard = max(1.0 - kept, 0.0)  # rounding guard; kept <= 1 analytically
-    out = PauliDistribution(*(v / kept for v in raw))
-    return PurifyStep(raw, p_discard, out)
+    raw, kept, p_discard = _step(_check_protocol(protocol), *dist.as_tuple())
+    return PurifyStep(raw, p_discard, PauliDistribution(*(v / kept for v in raw)))
 
 
 def twirl(dist: PauliDistribution) -> PauliDistribution:
@@ -162,16 +182,14 @@ def run_rounds(
         raise ValueError("rounds must be >= 1")
     if (f_in is None) == (dist is None):
         raise ValueError("give exactly one of f_in or dist")
-    current = PauliDistribution.from_fidelity(f_in) if dist is None else dist.validate()
-    initial = current
-    records = []
-    p_total = 0.0
-    for i in range(1, rounds + 1):
-        step = purify_step(protocol, current)
-        current = twirl(step.dist) if twirled else step.dist
-        p_total = p_total + (1.0 - p_total) * step.p_discard
-        records.append(RoundRecord(current, step.p_discard, p_total, (1.0 - p_total) / 2.0**i))
-    return PurificationTrace(protocol, twirled, initial, tuple(records))
+    initial = PauliDistribution.from_fidelity(f_in) if dist is None else dist.validate()
+    records = tuple(
+        RoundRecord(PauliDistribution(*comps), p_discard, p_total, rate)
+        for _, p_discard, comps, p_total, rate in _recurrence(
+            protocol, initial.as_tuple(), rounds, twirled
+        )
+    )
+    return PurificationTrace(protocol, twirled, initial, records)
 
 
 def bbpssw_closed_form(f: float) -> tuple[float, float]:

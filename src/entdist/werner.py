@@ -49,7 +49,7 @@ def distillable_entanglement(f):
     the endpoints of the open interval.
     """
     f = np.asarray(f, dtype=float)
-    if np.any(f <= 0.0) or np.any(f > 1.0):
+    if not ((f > 0.0) & (f <= 1.0)).all():  # negated, so that NaN fails it too
         raise ValueError("fidelity must lie in (0, 1]")
     g = 1.0 - f
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -1,8 +1,15 @@
+import hashlib
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from entdist._output import format_cell
 from entdist.cli import main
+from entdist.purify import PauliDistribution, run_rounds
+
+GOLDEN_DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "golden" / "repro_sha256.json"
 
 
 def run_cli(capsys, *argv):
@@ -96,11 +103,52 @@ def test_purify_explicit_distribution(capsys):
     assert abs(float(rows[0][2]) - 0.6436 / kept) < 1e-12
 
 
-def test_purify_jobs_matches_serial(capsys):
-    argv = ["purify", "--protocol", "dejmps", "--rounds", "2", "--grid", "0.5:0.9:9"]
-    _, serial, _ = run_cli(capsys, *argv)
-    _, parallel, _ = run_cli(capsys, *argv, "--jobs", "2")
-    assert serial == parallel
+@pytest.mark.parametrize("protocol", ["bbpssw", "dejmps"])
+@pytest.mark.parametrize("twirl", ["--twirl", "--no-twirl"])
+def test_purify_sweep_matches_run_rounds(capsys, protocol, twirl):
+    code, out, _ = run_cli(
+        capsys, "purify", "--protocol", protocol, twirl, "--rounds", "6",
+        "--grid", "0:1:41",
+    )
+    assert code == 0
+    _, rows = csv_rows(out)
+    expected = []
+    for f in np.linspace(0.0, 1.0, 41).tolist():
+        trace = run_rounds(protocol, 6, f_in=f, twirled=twirl == "--twirl")
+        for n, rec in enumerate(trace.rounds, start=1):
+            expected.append(
+                [f, n, *rec.dist.as_tuple(), rec.p_discard, rec.p_total_discard, rec.rate]
+            )
+    assert rows == [[format_cell(v) for v in row] for row in expected]
+
+
+def test_purify_explicit_distribution_matches_run_rounds(capsys):
+    dist = PauliDistribution(0.7, 0.05, 0.2, 0.05)
+    code, out, _ = run_cli(
+        capsys, "purify", "--protocol", "dejmps", "--rounds", "4",
+        "--input-dist", ",".join(map(str, dist.as_tuple())),
+    )
+    assert code == 0
+    _, rows = csv_rows(out)
+    trace = run_rounds("dejmps", 4, dist=dist)
+    assert rows == [
+        [format_cell(v) for v in (0.7, n, *r.dist.as_tuple(), r.p_discard, r.p_total_discard, r.rate)]
+        for n, r in enumerate(trace.rounds, start=1)
+    ]
+
+
+def test_repro_matches_golden_digests(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("ENTDIST_GRID_POINTS", raising=False)
+    monkeypatch.delenv("ENTDIST_OUTDIR", raising=False)
+    digests = json.loads(GOLDEN_DIGESTS.read_text())
+    code = main(["repro", "--outdir", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    drifted = [
+        name for name, digest in digests.items()
+        if hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() != digest
+    ]
+    assert drifted == []
 
 
 def test_efficiency_switchpoints(capsys):
@@ -194,6 +242,23 @@ def test_bad_inputs_exit_nonzero(capsys):
         main(["map", "qec", "--grid", "nonsense"])
     with pytest.raises(SystemExit):
         main(["purify", "--protocol", "unknown"])
+    assert run_cli(capsys, "purify", "--protocol", "dejmps", "--rounds", "0")[0] == 2
+    assert run_cli(capsys, "purify", "--protocol", "dejmps", "--grid", "0.5:1.5:3")[0] == 2
+
+
+@pytest.mark.parametrize("spec", ["nan:1:3", "0:nan:3", "-inf:1:3", "0:inf:3"])
+def test_non_finite_grid_exits_2(capsys, spec):
+    with pytest.raises(SystemExit) as exc:
+        main(["map", "qec", f"--grid={spec}"])
+    assert exc.value.code == 2
+    assert "bad grid range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dist", ["nan,0,0,1", "1,nan,0,0", "inf,0,0,-inf"])
+def test_non_finite_input_dist_exits_2(capsys, dist):
+    code, out, err = run_cli(capsys, "purify", "--protocol", "dejmps", "--input-dist", dist)
+    assert code == 2
+    assert out == "" and "error:" in err
 
 
 def test_env_overrides(tmp_path, capsys, monkeypatch):

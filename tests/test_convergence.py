@@ -29,6 +29,8 @@ def test_hypothesis_validation():
         iterate("nope", (0.6, 0.2, 0.1, 0.1), 5)
     with pytest.raises(ValueError, match="n_max"):
         iterate("bbpssw", (0.6, 0.2, 0.1, 0.1), 0)
+    with pytest.raises(ValueError, match="sum"):
+        iterate("bbpssw", (math.nan, 0.2, 0.1, 0.1), 5)
 
 
 def test_normalization_preserved():
@@ -66,6 +68,8 @@ def test_bbpssw_u_doubling_identity():
     trace = iterate("bbpssw", (0.6, 0.4 / 3, 0.4 / 3, 0.4 / 3), 40)
     report = check_identities(trace)
     assert report.ok
+    assert type(report.ok) is bool and type(report.u_doubling_ok) is bool
+    assert type(report.u_doubling_max_rel) is float and type(report.q_squaring_max_abs) is float
     assert report.u_doubling_ok and report.u_doubling_max_rel <= 1e-10
     assert report.u_doubling_checked >= 9  # representable through n = 9 here
     assert report.q_squaring_ok and report.q_squaring_max_abs <= 1e-12
@@ -103,6 +107,7 @@ def test_dejmps_case_three_example():
     assert trace.u[1] < trace.u[0] ** 2
     report = check_identities(trace)
     assert report.ok
+    assert type(report.ok) is bool and type(report.u_final) is float
     assert report.eventual_increase_m is not None and report.eventual_increase_m <= 10
     assert report.bc_final < 1e-8
     assert not math.isfinite(report.u_final) or report.u_final > 1e6

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from entdist.codes import builtin_code
 from entdist.decoder import builtin_polynomial, eval_qec_map
 from entdist.hybrid import (
     StrategyResult,
@@ -13,6 +14,7 @@ from entdist.hybrid import (
     pseudo_threshold,
     refined_efficiency,
 )
+from entdist.purify import run_rounds
 from entdist.werner import distillable_entanglement
 
 
@@ -128,9 +130,52 @@ def test_scan_grid_validation():
         checkpoint_scan("933", np.array([0.4, 0.6]))
     with pytest.raises(ValueError, match="inside"):
         checkpoint_scan("933", np.array([0.6, 1.0]))
+    with pytest.raises(ValueError, match="inside.*nan"):
+        checkpoint_scan("933", np.array([0.6, np.nan]))
     grid = default_scan_grid()
     assert len(grid) == 10000
     assert grid[0] == 0.501 and grid[-1] < 1.0
+
+
+def test_scalar_strategy_functions_reject_nan():
+    for call in (hybrid_run, baseline_distillable, lambda f: min_rounds_to_fidelity(f, 0.9)):
+        with pytest.raises(ValueError):
+            call(float("nan"))
+
+
+@pytest.mark.parametrize(
+    "grid, max_rounds",
+    [(default_scan_grid(500), 40), (np.linspace(0.75, 0.999, 100), 3)],
+)
+def test_scan_equals_scalar_strategy_functions(grid, max_rounds):
+    # the array scan against the per-point scalar functions, bit for bit;
+    # the short-trace case leaves some points without a matching round
+    code = builtin_code("933")
+    scan = checkpoint_scan("933", grid, max_rounds=max_rounds)
+    assert [p.f_in for p in scan] == grid.tolist()
+    for p in scan:
+        res = hybrid_run(p.f_in, "933", max_rounds=max_rounds)
+        assert (p.i_pre, p.i_match, p.f_out_hybrid, p.rate_hybrid) == (
+            res.i_pre, res.i_match, res.f_out, res.rate
+        )
+        hybrid_sr = StrategyResult(
+            "hybrid", p.f_in, res.f_out, code.k / (2.0**res.i_pre * code.n), res.p_total_discard
+        )
+        assert p.eff_hybrid == refined_efficiency(hybrid_sr, max_rounds=max_rounds)
+        trace = run_rounds("dejmps", max_rounds, f_in=p.f_in)
+        i = max_rounds if p.i_match is None else p.i_match
+        record = trace.rounds[i - 1]
+        assert (p.f_out_dejmps, p.rate_dejmps) == (record.dist.fidelity, record.rate)
+        if p.i_match is None:
+            assert p.eff_dejmps == 0.0
+        else:
+            dejmps_sr = StrategyResult(
+                "dejmps", p.f_in, record.dist.fidelity, 1.0 / 2.0**i, record.p_total_discard
+            )
+            assert p.eff_dejmps == refined_efficiency(dejmps_sr, max_rounds=max_rounds)
+        d_base, rounds = baseline_distillable(p.f_in, max_rounds=max_rounds)
+        assert d_base == distillable_entanglement(trace.fidelity_after(rounds))
+    assert any(p.i_match is None for p in scan) == (max_rounds == 3)
 
 
 def test_scan_round_gap(scan):

@@ -179,6 +179,14 @@ def test_from_fidelity_validation():
         PauliDistribution.from_fidelity(1.5)
 
 
+@pytest.mark.parametrize("values", [(math.nan, 0.0, 0.0, 1.0), (1.0, 0.0, math.nan, 0.0)])
+def test_validate_rejects_nan(values):
+    with pytest.raises(ValueError):
+        PauliDistribution(*values).validate()
+    with pytest.raises(ValueError):
+        run_rounds("dejmps", 1, dist=PauliDistribution(*values))
+
+
 # --- independent circuit oracle ------------------------------------------
 
 def test_oracle_equals_recurrence_on_random_inputs():
@@ -227,3 +235,22 @@ def test_step_outputs_stay_normalized(raw):
         assert 0.0 <= step.p_discard <= 1.0
         assert math.isclose(sum(step.dist.as_tuple()), 1.0, abs_tol=1e-12)
         assert min(step.dist.as_tuple()) >= 0.0
+
+
+# Components of exactly 0 or at least 1e-100 keep every product clear of
+# the subnormal range, where 2*x*z and x*z + z*x round differently.
+_COMPONENT = st.one_of(st.just(0.0), st.floats(1e-100, 1.0))
+
+
+@given(st.tuples(st.floats(0.01, 1.0), _COMPONENT, _COMPONENT, _COMPONENT))
+def test_kernel_equals_oracle_exactly(raw):
+    # the oracle sums the discarded branches, where the kernel takes
+    # 1 - kept, so only the discard probability may differ by rounding
+    total = sum(raw)
+    dist = PauliDistribution(*(v / total for v in raw))
+    for protocol in PROTOCOLS:
+        step = purify_step(protocol, dist)
+        oracle = circuit_oracle(protocol, dist)
+        assert step.raw == oracle.raw
+        assert step.dist == oracle.dist
+        assert step.p_discard == pytest.approx(oracle.p_discard, abs=1e-15)

@@ -54,6 +54,10 @@ def test_distillable_entanglement_domain():
         distillable_entanglement(0.0)
     with pytest.raises(ValueError):
         distillable_entanglement(-0.5)
+    with pytest.raises(ValueError):
+        distillable_entanglement(float("nan"))
+    with pytest.raises(ValueError):
+        distillable_entanglement(np.array([0.9, np.nan]))
 
 
 def test_distillable_entanglement_negative_below_threshold():
