@@ -12,10 +12,11 @@ import csv
 import io
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 
-__all__ = ["Table", "format_cell", "render", "write_table", "emit"]
+__all__ = ["format_cell", "render", "write_table", "emit"]
 
 
 def format_cell(value) -> str:
@@ -26,45 +27,32 @@ def format_cell(value) -> str:
     return str(value)
 
 
-class Table:
-    def __init__(self, columns, rows):
-        self.columns = list(columns)
-        self.rows = [list(r) for r in rows]
-
-    def render_csv(self) -> str:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow([format_cell(v) for v in row])
-        return buffer.getvalue()
-
-    def render_json(self) -> str:
-        def jsonable(v):
-            return v if v is None or isinstance(v, (int, float, str, bool)) else str(v)
-
-        payload = {
-            "columns": self.columns,
-            "rows": [[jsonable(v) for v in row] for row in self.rows],
-        }
-        return json.dumps(payload, indent=2) + "\n"
-
-    def render(self, fmt: str) -> str:
-        if fmt == "csv":
-            return self.render_csv()
-        if fmt == "json":
-            return self.render_json()
-        raise ValueError(f"unknown format {fmt!r}")
+def _jsonable(v):
+    return v if v is None or isinstance(v, (int, float, str, bool)) else str(v)
 
 
 def render(columns, rows, fmt: str = "csv") -> str:
-    return Table(columns, rows).render(fmt)
+    """The table as CSV or JSON text."""
+    if fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([format_cell(v) for v in row])
+        return buffer.getvalue()
+    if fmt == "json":
+        payload = {
+            "columns": list(columns),
+            "rows": [[_jsonable(v) for v in row] for row in rows],
+        }
+        return json.dumps(payload, indent=2) + "\n"
+    raise ValueError(f"unknown format {fmt!r}")
 
 
 def write_table(path, columns, rows, fmt: str = "csv") -> None:
     """Write atomically: temp file in the target directory, then rename."""
     path = Path(path)
-    text = Table(columns, rows).render(fmt)
+    text = render(columns, rows, fmt)
     directory = path.parent
     if not directory.is_dir():
         raise FileNotFoundError(f"output directory {directory} does not exist")
@@ -81,11 +69,9 @@ def write_table(path, columns, rows, fmt: str = "csv") -> None:
         raise
 
 
-def emit(columns, rows, path=None, fmt: str = "csv", stream=None) -> None:
-    """Write a table to a file when a path is given, else to the stream."""
+def emit(columns, rows, path=None, fmt: str = "csv") -> None:
+    """Write a table to a file when a path is given, else to stdout."""
     if path is not None:
         write_table(path, columns, rows, fmt)
     else:
-        import sys
-
-        (stream or sys.stdout).write(Table(columns, rows).render(fmt))
+        sys.stdout.write(render(columns, rows, fmt))

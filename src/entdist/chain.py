@@ -30,6 +30,7 @@ __all__ = [
     "SKIP",
     "ChainPlan",
     "RoundAccounting",
+    "parse_rounds",
     "parse_plan",
     "format_plan",
     "run_chain",
@@ -76,16 +77,20 @@ class ChainPlan:
 _PLAN_RE = re.compile(r"^\s*repeaters\s*=\s*(\d+)\s*;\s*rounds\s*=\s*([\w,]+)\s*$")
 
 
+def parse_rounds(spec: str) -> tuple[str | None, str | None, str | None]:
+    """Parse ``913,skip,933``: three code names, ``skip`` for no coding."""
+    entries = spec.split(",")
+    if len(entries) != 3:
+        raise ValueError(f"rounds must name exactly 3 codes or 'skip', got {spec!r}")
+    return tuple(SKIP if e.lower() == "skip" else e for e in entries)
+
+
 def parse_plan(text: str) -> ChainPlan:
     """Parse ``repeaters=3; rounds=913,923,933`` (``skip`` for no coding)."""
     m = _PLAN_RE.match(text)
     if not m:
         raise ValueError(f"malformed plan {text!r}; expected 'repeaters=N; rounds=a,b,c'")
-    entries = m.group(2).split(",")
-    if len(entries) != 3:
-        raise ValueError(f"plan must name exactly 3 rounds, got {len(entries)}")
-    rounds = tuple(SKIP if e.lower() == "skip" else e for e in entries)
-    return ChainPlan(int(m.group(1)), rounds)
+    return ChainPlan(int(m.group(1)), parse_rounds(m.group(2)))
 
 
 def format_plan(plan: ChainPlan) -> str:

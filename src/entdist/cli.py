@@ -20,6 +20,7 @@ import numpy as np
 
 from . import chain, codes, convergence, decoder, efficiency, hybrid, purify
 from ._output import emit, write_table
+from .werner import _in_range
 
 __all__ = ["main", "build_parser"]
 
@@ -30,10 +31,10 @@ def _env_points(default: int) -> int:
         return default
     try:
         points = int(value)
-        if points < 1:
-            raise ValueError
     except ValueError:
-        raise SystemExit(f"ENTDIST_GRID_POINTS must be a positive integer, got {value!r}")
+        points = 0
+    if points < 1:
+        raise ValueError(f"ENTDIST_GRID_POINTS must be a positive integer, got {value!r}")
     return points
 
 
@@ -120,19 +121,12 @@ def _cmd_map(args) -> int:
         emit(["f_in", "f_out"], rows, _out_path(args.output), args.format)
         return 0
     # chain
-    plan = chain.ChainPlan(args.repeaters, _parse_rounds(args.rounds))
+    plan = chain.ChainPlan(args.repeaters, chain.parse_rounds(args.rounds))
     grid = args.grid if args.grid is not None else np.linspace(0.0, 1.0, _env_points(1000))
     f_out = chain.run_chain(plan, grid)
     rows = list(zip((float(f) for f in grid), (float(v) for v in np.atleast_1d(f_out))))
     emit(["f_in", "f_out"], rows, _out_path(args.output), args.format)
     return 0
-
-
-def _parse_rounds(spec: str):
-    entries = spec.split(",")
-    if len(entries) != 3:
-        raise SystemExit(f"--rounds must name exactly 3 rounds, got {spec!r}")
-    return tuple(chain.SKIP if e.lower() == "skip" else e for e in entries)
 
 
 def _cmd_efficiency(args) -> int:
@@ -177,10 +171,7 @@ def _cmd_purify(args) -> int:
         start = tuple(np.array([v]) for v in dist.as_tuple())
     else:
         grid = args.grid if args.grid is not None else np.linspace(0.0, 1.0, _env_points(10000))
-        if not ((grid >= 0.0) & (grid <= 1.0)).all():
-            raise ValueError("fidelity must lie in [0, 1]")
-        e = (1.0 - grid) / 3.0  # depolarizing start
-        start = (grid, e, e, e)
+        start = purify._depolarized(_in_range(grid))
     rows = _purify_rows(args.protocol, args.rounds, twirled, start)
     columns = ["f_in", "round", "p_i", "p_x", "p_y", "p_z", "p_discard", "p_total_discard", "rate"]
     emit(columns, rows, _out_path(args.output), args.format)

@@ -192,6 +192,9 @@ def validate_code(code: StabilizerCode, check_distance: bool = False) -> CodeVal
     n, k = code.n, code.k
     ops = code.stabilizers + code.logical_x + code.logical_z
 
+    def check(name, bad, detail):
+        checks.append(CheckResult(name, not bad, f"{detail}: {bad}" if bad else ""))
+
     sizes_ok = all(p.n == n for p in ops)
     counts_ok = (
         len(code.stabilizers) == n - k
@@ -215,13 +218,7 @@ def validate_code(code: StabilizerCode, check_distance: bool = False) -> CodeVal
         for j in range(i + 1, len(code.stabilizers))
         if not commutes_with(code.stabilizers[i], code.stabilizers[j])
     ]
-    checks.append(
-        CheckResult(
-            "stabilizers_commute",
-            not bad,
-            "" if not bad else f"anticommuting generator pairs: {bad}",
-        )
-    )
+    check("stabilizers_commute", bad, "anticommuting generator pairs")
 
     rows = [(p.x << n) | p.z for p in code.stabilizers]
     rank = _gf2_rank(rows)
@@ -239,13 +236,7 @@ def validate_code(code: StabilizerCode, check_distance: bool = False) -> CodeVal
         for si, s in enumerate(code.stabilizers)
         if not commutes_with(lop, s)
     ]
-    checks.append(
-        CheckResult(
-            "logicals_commute_with_stabilizers",
-            not bad,
-            "" if not bad else f"anticommuting (logical, stabilizer) pairs: {bad}",
-        )
-    )
+    check("logicals_commute_with_stabilizers", bad, "anticommuting (logical, stabilizer) pairs")
 
     bad = [
         (i, j)
@@ -253,13 +244,7 @@ def validate_code(code: StabilizerCode, check_distance: bool = False) -> CodeVal
         for j in range(len(code.logical_z))
         if commutes_with(code.logical_x[i], code.logical_z[j]) != (i != j)
     ]
-    checks.append(
-        CheckResult(
-            "logical_pairing",
-            not bad,
-            "" if not bad else f"wrong X/Z pairing at indices: {bad}",
-        )
-    )
+    check("logical_pairing", bad, "wrong X/Z pairing at indices")
 
     if check_distance and all(c.passed for c in checks):
         from .decoder import code_distance  # deferred: decoder builds on codes

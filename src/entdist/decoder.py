@@ -23,6 +23,7 @@ import numpy as np
 
 from .codes import StabilizerCode, builtin_code, validate_code
 from .pauli import PauliString, commutes_with, multiply
+from .werner import _in_range, _scalar
 
 __all__ = [
     "LookupTable",
@@ -47,8 +48,12 @@ def _pauli_enumeration(n: int):
     Index m encodes x bits in the high n bits and z bits in the low n bits,
     qubit 0 most significant, so ascending m is exactly the canonical
     lexicographic tie-break; a stable sort by weight then gives the full
-    canonical order.
+    canonical order.  Refused above 10 qubits, before anything is
+    allocated: the cached tables take 4^n * (2n + 24) bytes, about 46 MB
+    at n = 10.
     """
+    if n > 10:
+        raise ValueError(f"exhaustive decoding supports n <= 10 qubits, got n={n}")
     m = np.arange(4**n, dtype=np.int64)
     xb = np.empty((4**n, n), dtype=np.uint8)
     zb = np.empty((4**n, n), dtype=np.uint8)
@@ -72,9 +77,15 @@ def _bit_matrix(ops: tuple[PauliString, ...], n: int):
     return X, Z
 
 
+def _anticommutes(xb, zb, op_x, op_z):
+    """Symplectic product table: entry (e, o) is 1 iff error row e
+    anticommutes with operator row o."""
+    return (xb.astype(np.int64) @ op_z.T + zb.astype(np.int64) @ op_x.T) % 2
+
+
 def _syndrome_ids(xb, zb, stab_x, stab_z):
     """Packed syndrome integers, stabilizer 0 at the most significant bit."""
-    syn = (xb.astype(np.int64) @ stab_z.T + zb.astype(np.int64) @ stab_x.T) % 2
+    syn = _anticommutes(xb, zb, stab_x, stab_z)
     m_s = stab_x.shape[0]
     pack = (1 << np.arange(m_s - 1, -1, -1)).astype(np.int64)
     return syn @ pack
@@ -196,8 +207,7 @@ def logical_fidelity_polynomial(code: StabilizerCode, lut: LookupTable | None = 
     res_x = xb ^ lut._leader_x[lut._syn_ids]
     res_z = zb ^ lut._leader_z[lut._syn_ids]
     gx, gz = _bit_matrix(code.logical_x + code.logical_z, n)
-    anti = (res_x.astype(np.int64) @ gz.T + res_z.astype(np.int64) @ gx.T) % 2
-    corrected = ~anti.any(axis=1)
+    corrected = ~_anticommutes(res_x, res_z, gx, gz).any(axis=1)
     counts = np.bincount(w[corrected], minlength=n + 1)
     return LogicalFidelityPolynomial(code.name, n, code.k, tuple(int(c) for c in counts))
 
@@ -207,15 +217,13 @@ def eval_qec_map(poly: LogicalFidelityPolynomial, f_in):
 
     Accepts a scalar or an array; raises if any input leaves [0, 1].
     """
-    f = np.asarray(f_in, dtype=float)
-    if np.any(f < 0.0) or np.any(f > 1.0):
-        raise ValueError("input fidelity must lie in [0, 1]")
+    f = _in_range(f_in, what="input fidelity")
     e = (1.0 - f) / 3.0
     out = np.zeros_like(f)
     for w, a in enumerate(poly.counts):
         if a:
             out = out + a * f ** (poly.n - w) * e**w
-    return float(out) if out.ndim == 0 else out
+    return _scalar(out)
 
 
 def code_distance(code: StabilizerCode) -> int:
@@ -224,12 +232,9 @@ def code_distance(code: StabilizerCode) -> int:
     n = code.n
     xb, zb, w, _ = _pauli_enumeration(n)
     stab_x, stab_z = _bit_matrix(code.stabilizers, n)
-    syn = (xb.astype(np.int64) @ stab_z.T + zb.astype(np.int64) @ stab_x.T) % 2
-    in_centralizer = ~syn.any(axis=1)
+    in_centralizer = ~_anticommutes(xb, zb, stab_x, stab_z).any(axis=1)
     gx, gz = _bit_matrix(code.logical_x + code.logical_z, n)
-    anti = (xb.astype(np.int64) @ gz.T + zb.astype(np.int64) @ gx.T) % 2
-    logical_action = anti.any(axis=1)
-    candidates = in_centralizer & logical_action
+    candidates = in_centralizer & _anticommutes(xb, zb, gx, gz).any(axis=1)
     if not candidates.any():
         raise ValueError("code has no logical operators (k = 0?)")
     return int(w[candidates].min())

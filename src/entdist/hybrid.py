@@ -27,8 +27,8 @@ import numpy as np
 
 from .codes import builtin_code
 from .decoder import LogicalFidelityPolynomial, builtin_polynomial, eval_qec_map
-from .purify import _recurrence
-from .werner import distillable_entanglement
+from .purify import _depolarized, _recurrence
+from .werner import _bisect, distillable_entanglement
 
 __all__ = [
     "DEFAULT_BASELINE_D",
@@ -52,24 +52,13 @@ def pseudo_threshold(poly: LogicalFidelityPolynomial, *, bracket=(0.8, 0.9999), 
     """Largest fixed point below 1 of the code's fidelity map, by bisection
     on eval(F) - F.  Above it one QEC round improves fidelity; below, it
     degrades."""
-    lo, hi = bracket
-    grid = np.linspace(lo, hi, 400)
+    grid = np.linspace(*bracket, 400)
     g = eval_qec_map(poly, grid) - grid
-    pair = None
-    for i in range(len(grid) - 1, 0, -1):
-        if g[i] > 0.0 and g[i - 1] < 0.0:
-            pair = (grid[i - 1], grid[i])
-            break
-    if pair is None:
+    ups = np.flatnonzero((g[1:] > 0.0) & (g[:-1] < 0.0))  # bisect the last upward crossing
+    if not ups.size:
         raise ValueError("no fidelity fixed point inside the bracket")
-    a, b = (float(v) for v in pair)
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if eval_qec_map(poly, mid) - mid < 0.0:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+    i = ups[-1]
+    return _bisect(lambda f: eval_qec_map(poly, f) - f, float(grid[i]), float(grid[i + 1]), tol)
 
 
 @lru_cache(maxsize=None)
@@ -82,8 +71,7 @@ def _dejmps_trace(f_in, max_rounds: int):
     depolarizing start, index i = after i rounds.  A float ``f_in`` gives
     two lists of floats; a 1-D grid gives two lists of arrays, which stack
     into (max_rounds + 1, N) tables, one column per grid point."""
-    e = (1.0 - f_in) / 3.0
-    rounds = list(_recurrence("dejmps", (f_in, e, e, e), max_rounds))
+    rounds = list(_recurrence("dejmps", _depolarized(f_in), max_rounds))
     # f_in * 0.0: a zero discard shaped like the input
     return [f_in] + [r[2][0] for r in rounds], [f_in * 0.0] + [r[3] for r in rounds]
 
@@ -92,6 +80,19 @@ def _first_true(table: np.ndarray):
     """Per column of a boolean table, the first true row (0 if none) and
     whether there is one."""
     return table.argmax(axis=0), table.any(axis=0)
+
+
+def _first_at_least(values, bar) -> int | None:
+    """Index of the first value that reaches ``bar``; None if none does."""
+    return next((i for i, v in enumerate(values) if v >= bar), None)
+
+
+def _check_scan_args(max_rounds: int, min_d: float) -> None:
+    # negated comparisons, so that NaN fails them too
+    if not max_rounds >= 0:
+        raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
+    if not 0.0 < min_d <= 1.0:
+        raise ValueError(f"baseline distillable entanglement must lie in (0, 1], got {min_d}")
 
 
 def min_rounds_to_fidelity(f_in: float, target: float, *, max_rounds: int = 40) -> int | None:
@@ -106,11 +107,7 @@ def min_rounds_to_fidelity(f_in: float, target: float, *, max_rounds: int = 40) 
         return 0
     if f_in <= 0.5:
         return None
-    fids, _ = _dejmps_trace(f_in, max_rounds)
-    for i, f in enumerate(fids):
-        if f >= target:
-            return i
-    return None
+    return _first_at_least(_dejmps_trace(f_in, max_rounds)[0], target)
 
 
 @dataclass(frozen=True)
@@ -144,7 +141,7 @@ def hybrid_run(
     if threshold is None:
         threshold = builtin_threshold(code_name)
     fids, discards = _dejmps_trace(f_in, max_rounds)
-    i_pre = next((i for i, f in enumerate(fids) if f >= threshold), None)
+    i_pre = _first_at_least(fids, threshold)
     if i_pre is None:
         raise ValueError(
             f"threshold {threshold:.6f} not reachable from F={f_in} in {max_rounds} rounds"
@@ -153,7 +150,7 @@ def hybrid_run(
     f_out = eval_qec_map(poly, fids[i_pre])
     p_total = discards[i_pre]
     rate = code.k / (2.0**i_pre * code.n) * (1.0 - p_total)
-    i_match = next((i for i, f in enumerate(fids) if f >= f_out), None)
+    i_match = _first_at_least(fids, f_out)
     return HybridResult(f_in, code.name, i_pre, fids[i_pre], f_out, rate, p_total, i_match)
 
 
@@ -166,13 +163,14 @@ def baseline_distillable(
     """Denominator for the refined efficiency: D after the minimum number
     of DEJMPS rounds lifting it to at least ``min_d`` (zero rounds when
     already there).  Returns (D, rounds used)."""
+    _check_scan_args(max_rounds, min_d)
     d0 = distillable_entanglement(f_in)
     if d0 >= min_d:
         return d0, 0
-    fids, _ = _dejmps_trace(f_in, max_rounds)
-    for i, d in enumerate(distillable_entanglement(fids).tolist()):
-        if d >= min_d:
-            return d, i
+    ds = distillable_entanglement(_dejmps_trace(f_in, max_rounds)[0]).tolist()
+    i = _first_at_least(ds, min_d)
+    if i is not None:
+        return ds[i], i
     raise ValueError(
         f"distillable entanglement {min_d} not reachable from F={f_in} in {max_rounds} rounds"
     )
@@ -241,6 +239,7 @@ def checkpoint_scan(
     Jumps in i_pre / i_match across the grid are the checkpoints; they
     crowd together near F = 0.5 where each round gains little.
     """
+    _check_scan_args(max_rounds, baseline_min_d)
     if grid is None:
         grid = default_scan_grid()
     grid = np.asarray(grid, dtype=float)

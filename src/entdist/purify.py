@@ -50,6 +50,13 @@ def _check_protocol(protocol: str) -> str:
     return p
 
 
+def _depolarized(f):
+    """Depolarizing components (F, e, e, e), e = (1 - F)/3, on a float or
+    an array."""
+    e = (1.0 - f) / 3.0
+    return (f, e, e, e)
+
+
 @dataclass(frozen=True)
 class PauliDistribution:
     """Error-component probabilities (P_I, P_X, P_Y, P_Z) of one pair."""
@@ -65,8 +72,7 @@ class PauliDistribution:
         share (1-f) equally."""
         if not 0.0 <= f <= 1.0:
             raise ValueError("fidelity must lie in [0, 1]")
-        e = (1.0 - f) / 3.0
-        return cls(f, e, e, e)
+        return cls(*_depolarized(f))
 
     @property
     def fidelity(self) -> float:
@@ -119,8 +125,7 @@ def _recurrence(protocol: str, comps, rounds: int, twirled: bool = False):
         raw, kept, p_discard = _step(protocol, *comps)
         comps = (raw[0] / kept, raw[1] / kept, raw[2] / kept, raw[3] / kept)
         if twirled:
-            e = (1.0 - comps[0]) / 3.0
-            comps = (comps[0], e, e, e)
+            comps = _depolarized(comps[0])
         p_total = p_total + (1.0 - p_total) * p_discard
         yield raw, p_discard, comps, p_total, (1.0 - p_total) / 2.0**n
 
@@ -132,8 +137,7 @@ def purify_step(protocol: str, dist: PauliDistribution) -> PurifyStep:
 
 def twirl(dist: PauliDistribution) -> PauliDistribution:
     """Werner twirl: keep P_I, spread the rest equally over X/Y/Z."""
-    e = (1.0 - dist.p_i) / 3.0
-    return PauliDistribution(dist.p_i, e, e, e)
+    return PauliDistribution(*_depolarized(dist.p_i))
 
 
 @dataclass(frozen=True)

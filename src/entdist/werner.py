@@ -24,22 +24,40 @@ __all__ = [
 ]
 
 
-def _scalar_or_array(value, out):
+def _in_range(x, lo=0.0, hi=1.0, what="fidelity"):
+    """``x`` as a float array; raises unless every entry lies in [lo, hi].
+    The test is negated, so that NaN fails it too."""
+    x = np.asarray(x, dtype=float)
+    if not ((x >= lo) & (x <= hi)).all():
+        raise ValueError(f"{what} must lie in [{lo:g}, {hi:g}]")
+    return x
+
+
+def _scalar(out):
+    """A 0-d result as a float; arrays pass through."""
     return float(out) if out.ndim == 0 else out
 
 
+def _bisect(g, lo, hi, tol):
+    """Midpoint of the bracket [lo, hi] shrunk below ``tol`` around the
+    sign change of ``g``: ``g(mid) < 0`` moves ``lo``, anything else ``hi``."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if g(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def fidelity_to_werner(f):
-    f = np.asarray(f, dtype=float)
-    if np.any(f < 0.0) or np.any(f > 1.0):
-        raise ValueError("fidelity must lie in [0, 1]")
-    return _scalar_or_array(f, (4.0 * f - 1.0) / 3.0)
+    f = _in_range(f)
+    return _scalar((4.0 * f - 1.0) / 3.0)
 
 
 def werner_to_fidelity(w):
-    w = np.asarray(w, dtype=float)
-    if np.any(w < -1.0 / 3.0) or np.any(w > 1.0):
-        raise ValueError("Werner parameter must lie in [-1/3, 1]")
-    return _scalar_or_array(w, (3.0 * w + 1.0) / 4.0)
+    w = _in_range(w, -1.0 / 3.0, 1.0, "Werner parameter")
+    return _scalar((3.0 * w + 1.0) / 4.0)
 
 
 def distillable_entanglement(f):
@@ -55,7 +73,7 @@ def distillable_entanglement(f):
     with np.errstate(divide="ignore", invalid="ignore"):
         term_f = np.where(f > 0.0, f * np.log2(np.where(f > 0.0, f, 1.0)), 0.0)
         term_g = np.where(g > 0.0, g * np.log2(np.where(g > 0.0, g / 3.0, 1.0)), 0.0)
-    return _scalar_or_array(f, 1.0 + term_f + term_g)
+    return _scalar(1.0 + term_f + term_g)
 
 
 def swap_fidelity(fidelities) -> float:
@@ -78,21 +96,11 @@ def swap_fidelity_uniform(f, n_swaps: int):
     identity."""
     if n_swaps < 0:
         raise ValueError("swap count must be nonnegative")
-    f = np.asarray(f, dtype=float)
-    if np.any(f < 0.0) or np.any(f > 1.0):
-        raise ValueError("fidelity must lie in [0, 1]")
-    w = (4.0 * f - 1.0) / 3.0
-    return _scalar_or_array(f, 0.25 + 0.75 * w ** (n_swaps + 1))
+    w = (4.0 * _in_range(f) - 1.0) / 3.0
+    return _scalar(0.25 + 0.75 * w ** (n_swaps + 1))
 
 
 @lru_cache(maxsize=1)
 def hashing_threshold(tol: float = 1e-12) -> float:
     """Fidelity at which D_H crosses zero (about 0.8107), by bisection."""
-    lo, hi = 0.75, 0.9
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if distillable_entanglement(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(distillable_entanglement, 0.75, 0.9, tol)

@@ -8,6 +8,7 @@ from entdist.chain import (
     ChainPlan,
     format_plan,
     parse_plan,
+    parse_rounds,
     rate_accounting,
     run_chain,
 )
@@ -48,6 +49,13 @@ def test_plan_parse_errors():
     for bad in ("rounds=913", "repeaters=3; rounds=913,923", "repeaters=x; rounds=a,b,c"):
         with pytest.raises(ValueError):
             parse_plan(bad)
+
+
+def test_parse_rounds():
+    assert parse_rounds("513,skip,SKIP") == ("513", SKIP, SKIP)
+    for bad in ("913,923", "913,923,933,933", ""):
+        with pytest.raises(ValueError, match="exactly 3"):
+            parse_rounds(bad)
 
 
 def test_perfect_input_stays_perfect():

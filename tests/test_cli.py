@@ -235,8 +235,9 @@ def test_missing_output_directory_fails_cleanly(tmp_path, capsys):
     assert not target.exists()
 
 
-def test_bad_inputs_exit_nonzero(capsys):
+def test_bad_inputs_exit_nonzero(capsys, monkeypatch):
     assert run_cli(capsys, "map", "chain", "--repeaters", "2", "--rounds", "913,923,933")[0] == 2
+    assert run_cli(capsys, "map", "chain", "--rounds", "913,923")[0] == 2
     assert run_cli(capsys, "map", "qec", "--code", "999")[0] == 2
     with pytest.raises(SystemExit):
         main(["map", "qec", "--grid", "nonsense"])
@@ -244,6 +245,10 @@ def test_bad_inputs_exit_nonzero(capsys):
         main(["purify", "--protocol", "unknown"])
     assert run_cli(capsys, "purify", "--protocol", "dejmps", "--rounds", "0")[0] == 2
     assert run_cli(capsys, "purify", "--protocol", "dejmps", "--grid", "0.5:1.5:3")[0] == 2
+    for flag in (("--max-rounds", "-1"), ("--baseline-d", "-0.1"), ("--baseline-d", "nan")):
+        assert run_cli(capsys, "hybrid", "--grid", "0.96:0.97:2", *flag)[0] == 2
+    monkeypatch.setenv("ENTDIST_GRID_POINTS", "x")
+    assert run_cli(capsys, "map", "qec", "--code", "913")[0] == 2
 
 
 @pytest.mark.parametrize("spec", ["nan:1:3", "0:nan:3", "-inf:1:3", "0:inf:3"])

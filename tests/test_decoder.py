@@ -262,6 +262,14 @@ def test_pseudo_threshold_933_near_reference_value(polys):
     assert 0.9543 <= thr <= 0.9583
 
 
+def test_enumeration_refuses_more_than_ten_qubits():
+    from entdist.decoder import _pauli_enumeration
+
+    # n = 11 only: unguarded, it would allocate about 190 MB
+    with pytest.raises(ValueError, match="n <= 10"):
+        _pauli_enumeration(11)
+
+
 def test_code_distance_matches_stored():
     for name in builtin_names():
         code = builtin_code(name)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,18 @@ def scan():
 
 def test_threshold_933_in_reference_window():
     assert 0.9543 <= builtin_threshold("933") <= 0.9583
+
+
+def test_thresholds_bit_for_bit():
+    from entdist.werner import hashing_threshold
+
+    assert repr(hashing_threshold()) == "0.8107103750849092"
+    assert repr(builtin_threshold("933")) == "0.9563232785941963"
+
+
+def test_pseudo_threshold_needs_a_crossing_in_the_bracket():
+    with pytest.raises(ValueError, match="no fidelity fixed point"):
+        pseudo_threshold(builtin_polynomial("933"), bracket=(0.97, 0.9999))
 
 
 def test_threshold_characterization_all_codes():
@@ -135,6 +149,16 @@ def test_scan_grid_validation():
     grid = default_scan_grid()
     assert len(grid) == 10000
     assert grid[0] == 0.501 and grid[-1] < 1.0
+
+
+@pytest.mark.parametrize(
+    "max_rounds, min_d", [(-1, 0.12), (40, -0.1), (40, 0.0), (40, 1.5), (40, math.nan)]
+)
+def test_scan_arguments_checked(max_rounds, min_d):
+    with pytest.raises(ValueError, match="must"):
+        baseline_distillable(0.99, min_d=min_d, max_rounds=max_rounds)
+    with pytest.raises(ValueError, match="must"):
+        checkpoint_scan("933", np.array([0.99]), max_rounds=max_rounds, baseline_min_d=min_d)
 
 
 def test_scalar_strategy_functions_reject_nan():

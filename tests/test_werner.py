@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from entdist.chain import ChainPlan, run_chain
+from entdist.decoder import builtin_polynomial, eval_qec_map
 from entdist.werner import (
     distillable_entanglement,
     fidelity_to_werner,
@@ -34,6 +36,23 @@ def test_conversion_range_checks():
         fidelity_to_werner(1.2)
     with pytest.raises(ValueError):
         werner_to_fidelity(-0.5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(fidelity_to_werner, id="fidelity_to_werner"),
+        pytest.param(werner_to_fidelity, id="werner_to_fidelity"),
+        pytest.param(lambda f: swap_fidelity_uniform(f, 2), id="swap_fidelity_uniform"),
+        pytest.param(lambda f: eval_qec_map(builtin_polynomial("933"), f), id="eval_qec_map"),
+        pytest.param(lambda f: run_chain(ChainPlan(1, ("913", "923", "933")), f), id="run_chain"),
+    ],
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("in_array", [False, True], ids=["scalar", "array"])
+def test_non_finite_input_rejected(call, bad, in_array):
+    with pytest.raises(ValueError):
+        call(np.array([0.9, bad, 0.95]) if in_array else bad)
 
 
 def test_distillable_entanglement_values():
