@@ -197,8 +197,9 @@ def _cmd_hybrid(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    start = args.start
-    trace = convergence.iterate(args.protocol, start, args.n)
+    if len(args.start) != 4:
+        raise ValueError("--start needs exactly 4 components: A,B,C,D")
+    trace = convergence.iterate(args.protocol, args.start, args.n)
     rows = [
         [n, trace.a[n], trace.b[n], trace.c[n], trace.d[n], trace.u[n], trace.r[n], trace.q[n]]
         for n in range(len(trace))

@@ -12,6 +12,13 @@ the single-round fidelity map
 is evaluated exactly, with no sampling and no grid interpolation.  For
 k > 1 the hard lower-bound convention is used: a block counts as corrected
 only if every logical qubit is error free.
+
+The exhaustive passes work on packed integers.  Error number m of the
+enumeration is the pair of n-bit masks mx = m >> n (x bits) and
+mz = m & (2^n - 1) (z bits), qubit 0 at the most significant bit of each;
+a stabilizer or logical operator is an (ox, oz) pair of masks in the same
+bit order.  The error anticommutes with the operator iff
+(mx & oz) ^ (mz & ox) has odd parity, read from a 2^n parity table.
 """
 
 from __future__ import annotations
@@ -42,53 +49,55 @@ __all__ = [
 
 
 @lru_cache(maxsize=8)
-def _pauli_enumeration(n: int):
-    """All 4^n unsigned Paulis as bit matrices, in canonical order.
+def _popcount(n: int) -> np.ndarray:
+    """Set-bit count of every n-bit mask, as uint8."""
+    table = np.zeros(2**n, dtype=np.uint8)
+    for b in range(n):
+        table[1 << b : 2 << b] = table[: 1 << b] + 1
+    return table
 
-    Index m encodes x bits in the high n bits and z bits in the low n bits,
-    qubit 0 most significant, so ascending m is exactly the canonical
-    lexicographic tie-break; a stable sort by weight then gives the full
-    canonical order.  Refused above 10 qubits, before anything is
-    allocated: the cached tables take 4^n * (2n + 24) bytes, about 46 MB
-    at n = 10.
+
+@lru_cache(maxsize=8)
+def _pauli_enumeration(n: int):
+    """All 4^n unsigned Paulis as packed masks, in canonical order.
+
+    Returns (mx, mz, w, order): the x and z masks of every index m as
+    uint16 (mx = m >> n, mz = m & (2^n - 1), qubit 0 most significant),
+    the uint8 weights and the canonical order.  Ascending m is exactly the
+    canonical lexicographic tie-break of ``pauli.canonical_key``, so a
+    stable sort by weight gives the full canonical order.  Refused above
+    10 qubits, before anything is allocated: the cached arrays take
+    4^n * 13 bytes, about 14 MB at n = 10.
     """
     if n > 10:
         raise ValueError(f"exhaustive decoding supports n <= 10 qubits, got n={n}")
-    m = np.arange(4**n, dtype=np.int64)
-    xb = np.empty((4**n, n), dtype=np.uint8)
-    zb = np.empty((4**n, n), dtype=np.uint8)
-    for j in range(n):
-        xb[:, j] = (m >> (2 * n - 1 - j)) & 1
-        zb[:, j] = (m >> (n - 1 - j)) & 1
-    w = (xb | zb).sum(axis=1).astype(np.int64)
+    m = np.arange(4**n, dtype=np.uint32)
+    mx = (m >> n).astype(np.uint16)
+    mz = (m & (2**n - 1)).astype(np.uint16)
+    w = _popcount(n)[mx | mz]
     order = np.argsort(w, kind="stable")
-    for arr in (xb, zb, w, order):
+    for arr in (mx, mz, w, order):
         arr.setflags(write=False)
-    return xb, zb, w, order
+    return mx, mz, w, order
 
 
-def _bit_matrix(ops: tuple[PauliString, ...], n: int):
-    X = np.zeros((len(ops), n), dtype=np.int64)
-    Z = np.zeros((len(ops), n), dtype=np.int64)
-    for i, p in enumerate(ops):
-        for j in range(n):
-            X[i, j] = (p.x >> j) & 1
-            Z[i, j] = (p.z >> j) & 1
-    return X, Z
+def _mask(bits: int, n: int) -> int:
+    """Reverse an n-bit mask: ``PauliString`` keeps qubit j at bit j, the
+    packed layout at bit n - 1 - j.  The map is its own inverse."""
+    return int(f"{bits:0{n}b}"[::-1], 2)
 
 
-def _anticommutes(xb, zb, op_x, op_z):
-    """Symplectic product table: entry (e, o) is 1 iff error row e
-    anticommutes with operator row o."""
-    return (xb.astype(np.int64) @ op_z.T + zb.astype(np.int64) @ op_x.T) % 2
-
-
-def _syndrome_ids(xb, zb, stab_x, stab_z):
-    """Packed syndrome integers, stabilizer 0 at the most significant bit."""
-    syn = _anticommutes(xb, zb, stab_x, stab_z)
-    m_s = stab_x.shape[0]
-    pack = (1 << np.arange(m_s - 1, -1, -1)).astype(np.int64)
-    return syn @ pack
+def _syndromes(mx, mz, ops: tuple[PauliString, ...], n: int) -> np.ndarray:
+    """Packed syndrome of every error against ``ops`` as int32, operator 0
+    at the most significant bit: bit set iff the error anticommutes."""
+    if len(ops) > 31:
+        raise ValueError(f"at most 31 operators fit a packed syndrome, got {len(ops)}")
+    parity = _popcount(n) & 1
+    sid = np.zeros(mx.shape, dtype=np.int32)
+    for p in ops:
+        sid <<= 1
+        sid |= parity[(mx & _mask(p.z, n)) ^ (mz & _mask(p.x, n))]
+    return sid
 
 
 @dataclass(eq=False)
@@ -97,8 +106,7 @@ class LookupTable:
 
     code: StabilizerCode
     entries: dict[tuple[int, ...], PauliString]
-    _leader_x: np.ndarray = field(repr=False)
-    _leader_z: np.ndarray = field(repr=False)
+    _leaders: np.ndarray = field(repr=False)
     _syn_ids: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
@@ -118,30 +126,21 @@ def build_lookup_table(code: StabilizerCode) -> LookupTable:
     if not report.passed:
         failed = ", ".join(c.name for c in report.failures())
         raise ValueError(f"code {code.name!r} failed validation: {failed}")
-    n, k = code.n, code.k
-    m_s = n - k
-    xb, zb, w, order = _pauli_enumeration(n)
-    stab_x, stab_z = _bit_matrix(code.stabilizers, n)
-    syn_ids = _syndrome_ids(xb, zb, stab_x, stab_z)
-
-    sorted_ids = syn_ids[order]
-    unique_ids, first_pos = np.unique(sorted_ids, return_index=True)
+    n, m_s = code.n, code.n - code.k
+    mx, mz, _, order = _pauli_enumeration(n)
+    syn_ids = _syndromes(mx, mz, code.stabilizers, n)
+    # the syndromes that occur, ascending, and where each first occurs;
+    # n - k <= 10 bits fit uint16, which numpy's stable sort radix-sorts
+    unique_ids, first_pos = np.unique(syn_ids[order].astype(np.uint16), return_index=True)
     if len(unique_ids) != 2**m_s:
         raise AssertionError("incomplete syndrome coverage despite full rank")
-    leaders = order[first_pos]
-    by_syndrome = np.empty(2**m_s, dtype=np.int64)
-    by_syndrome[unique_ids] = leaders
-
-    leader_x = xb[by_syndrome].copy()
-    leader_z = zb[by_syndrome].copy()
+    leaders = order[first_pos]  # index m of each syndrome's leader, syndrome 0 first
 
     entries: dict[tuple[int, ...], PauliString] = {}
-    for sid in range(2**m_s):
+    for sid, m in enumerate(leaders.tolist()):
         bits = tuple((sid >> (m_s - 1 - i)) & 1 for i in range(m_s))
-        x = int(sum(int(leader_x[sid, j]) << j for j in range(n)))
-        z = int(sum(int(leader_z[sid, j]) << j for j in range(n)))
-        entries[bits] = PauliString(n, x, z).unsigned()
-    return LookupTable(code, entries, leader_x, leader_z, syn_ids)
+        entries[bits] = PauliString(n, _mask(m >> n, n), _mask(m & (2**n - 1), n)).unsigned()
+    return LookupTable(code, entries, leaders, syn_ids)
 
 
 def syndrome_of(code: StabilizerCode, error: PauliString) -> tuple[int, ...]:
@@ -202,12 +201,10 @@ def logical_fidelity_polynomial(code: StabilizerCode, lut: LookupTable | None = 
     elif lut.code != code:
         raise ValueError(f"lookup table was built for {lut.code.name!r}, not {code.name!r}")
     n = code.n
-    xb, zb, w, _ = _pauli_enumeration(n)
+    mx, mz, w, _ = _pauli_enumeration(n)
     # lut._syn_ids is aligned with the same enumeration
-    res_x = xb ^ lut._leader_x[lut._syn_ids]
-    res_z = zb ^ lut._leader_z[lut._syn_ids]
-    gx, gz = _bit_matrix(code.logical_x + code.logical_z, n)
-    corrected = ~_anticommutes(res_x, res_z, gx, gz).any(axis=1)
+    leader = lut._leaders[lut._syn_ids]
+    corrected = _syndromes(mx ^ mx[leader], mz ^ mz[leader], code.logical_x + code.logical_z, n) == 0
     counts = np.bincount(w[corrected], minlength=n + 1)
     return LogicalFidelityPolynomial(code.name, n, code.k, tuple(int(c) for c in counts))
 
@@ -228,13 +225,11 @@ def eval_qec_map(poly: LogicalFidelityPolynomial, f_in):
 
 def code_distance(code: StabilizerCode) -> int:
     """Minimum weight over operators that commute with every stabilizer
-    but act nontrivially on some logical qubit (exhaustive; n <= 9)."""
+    but act nontrivially on some logical qubit (exhaustive; n <= 10)."""
     n = code.n
-    xb, zb, w, _ = _pauli_enumeration(n)
-    stab_x, stab_z = _bit_matrix(code.stabilizers, n)
-    in_centralizer = ~_anticommutes(xb, zb, stab_x, stab_z).any(axis=1)
-    gx, gz = _bit_matrix(code.logical_x + code.logical_z, n)
-    candidates = in_centralizer & _anticommutes(xb, zb, gx, gz).any(axis=1)
+    mx, mz, w, _ = _pauli_enumeration(n)
+    in_centralizer = _syndromes(mx, mz, code.stabilizers, n) == 0
+    candidates = in_centralizer & (_syndromes(mx, mz, code.logical_x + code.logical_z, n) != 0)
     if not candidates.any():
         raise ValueError("code has no logical operators (k = 0?)")
     return int(w[candidates].min())

@@ -87,11 +87,14 @@ def _first_at_least(values, bar) -> int | None:
     return next((i for i, v in enumerate(values) if v >= bar), None)
 
 
-def _check_scan_args(max_rounds: int, min_d: float) -> None:
-    # negated comparisons, so that NaN fails them too
-    if not max_rounds >= 0:
+def _check_max_rounds(max_rounds: int) -> None:
+    if not max_rounds >= 0:  # negated, so that NaN fails it too
         raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
-    if not 0.0 < min_d <= 1.0:
+
+
+def _check_scan_args(max_rounds: int, min_d: float) -> None:
+    _check_max_rounds(max_rounds)
+    if not 0.0 < min_d <= 1.0:  # negated, so that NaN fails it too
         raise ValueError(f"baseline distillable entanglement must lie in (0, 1], got {min_d}")
 
 
@@ -99,6 +102,7 @@ def min_rounds_to_fidelity(f_in: float, target: float, *, max_rounds: int = 40) 
     """Smallest number of DEJMPS (no twirl) rounds from a depolarizing
     start whose fidelity reaches the target; None if not reached within
     ``max_rounds`` (F_in <= 0.5 is pinned at the 0.5 fixed point)."""
+    _check_max_rounds(max_rounds)
     if not 0.0 < f_in <= 1.0:
         raise ValueError("input fidelity must lie in (0, 1]")
     if not 0.5 < target < 1.0:
@@ -134,6 +138,7 @@ def hybrid_run(
     max_rounds: int = 40,
 ) -> HybridResult:
     """DEJMPS to the code's pseudo-threshold, Werner twirl, one QEC round."""
+    _check_max_rounds(max_rounds)
     if not 0.0 <= f_in <= 1.0:
         raise ValueError("fidelity must lie in [0, 1]")
     code = builtin_code(code_name)

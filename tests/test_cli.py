@@ -247,6 +247,8 @@ def test_bad_inputs_exit_nonzero(capsys, monkeypatch):
     assert run_cli(capsys, "purify", "--protocol", "dejmps", "--grid", "0.5:1.5:3")[0] == 2
     for flag in (("--max-rounds", "-1"), ("--baseline-d", "-0.1"), ("--baseline-d", "nan")):
         assert run_cli(capsys, "hybrid", "--grid", "0.96:0.97:2", *flag)[0] == 2
+    code, _, err = run_cli(capsys, "converge", "--protocol", "dejmps", "--start", "0.6,0.2,0.1", "--n", "3")
+    assert code == 2 and "--start needs exactly 4 components" in err
     monkeypatch.setenv("ENTDIST_GRID_POINTS", "x")
     assert run_cli(capsys, "map", "qec", "--code", "913")[0] == 2
 

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+import bitmatrix_oracle as oracle
 from entdist.codes import StabilizerCode, builtin_code, builtin_names, validate_code
 from entdist.decoder import (
     build_lookup_table,
@@ -46,16 +47,46 @@ def test_worked_syndrome_example():
 def test_enumeration_matches_canonical_order():
     from entdist.decoder import _pauli_enumeration
 
-    xb, zb, _, order = _pauli_enumeration(2)
+    mx, mz, _, order = _pauli_enumeration(2)
     enumerated = []
     for idx in order:
-        x = int(xb[idx, 0]) | (int(xb[idx, 1]) << 1)
-        z = int(zb[idx, 0]) | (int(zb[idx, 1]) << 1)
+        # packed masks keep qubit 0 at the high bit
+        x = (int(mx[idx]) >> 1) | ((int(mx[idx]) & 1) << 1)
+        z = (int(mz[idx]) >> 1) | ((int(mz[idx]) & 1) << 1)
         enumerated.append(PauliString(2, x, z))
     expected = sorted(
         (PauliString(2, x, z) for x in range(4) for z in range(4)), key=canonical_key
     )
     assert enumerated == expected
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_packed_kernel_matches_bit_matrix_oracle(name):
+    from entdist.decoder import _pauli_enumeration, _syndromes
+
+    code = builtin_code(name)
+    n = code.n
+    mx, mz, w, order = _pauli_enumeration(n)
+    xb, zb, w_ref, order_ref = oracle.enumeration(n)
+    assert np.array_equal(w, w_ref)
+    assert np.array_equal(order, order_ref)
+    for ops in (code.stabilizers, code.logical_x + code.logical_z):
+        ox, oz = oracle.bit_matrix(ops, n)
+        assert np.array_equal(_syndromes(mx, mz, ops, n), oracle.syndrome_ids(xb, zb, ox, oz))
+
+
+def test_packed_syndromes_match_scalar_syndrome_of():
+    from entdist.decoder import _pauli_enumeration, _syndromes
+
+    code = builtin_code("513")
+    mx, mz, _, _ = _pauli_enumeration(5)
+    sid = _syndromes(mx, mz, code.stabilizers, 5)
+    xb, zb, _, _ = oracle.enumeration(5)
+    for m in range(4**5):
+        x = sum(int(b) << j for j, b in enumerate(xb[m]))
+        z = sum(int(b) << j for j, b in enumerate(zb[m]))
+        bits = syndrome_of(code, PauliString(5, x, z))
+        assert int(sid[m]) == sum(b << (3 - i) for i, b in enumerate(bits))
 
 
 def test_five_qubit_table_is_identity_plus_weight_one(luts):
@@ -100,18 +131,16 @@ def test_lookup_consistency_on_random_errors(luts):
 
 def test_coset_leaders_have_minimum_weight(luts):
     # the stored correction is never heavier than any same-syndrome error
-    from entdist.decoder import _bit_matrix, _pauli_enumeration, _syndrome_ids
+    from entdist.decoder import _pauli_enumeration, _syndromes
 
     for name, lut in luts.items():
         code = builtin_code(name)
-        xb, zb, w, _ = _pauli_enumeration(code.n)
-        sx, sz = _bit_matrix(code.stabilizers, code.n)
-        sid = _syndrome_ids(xb, zb, sx, sz)
+        mx, mz, w, _ = _pauli_enumeration(code.n)
+        sid = _syndromes(mx, mz, code.stabilizers, code.n)
         min_w = np.full(2 ** (code.n - code.k), code.n + 1, dtype=np.int64)
         np.minimum.at(min_w, sid, w)
-        stored_w = np.array(
-            [(lut._leader_x[i] | lut._leader_z[i]).sum() for i in range(len(min_w))]
-        )
+        xb, zb, _, _ = oracle.enumeration(code.n)
+        stored_w = (xb[lut._leaders] | zb[lut._leaders]).sum(axis=1)
         assert np.array_equal(stored_w, min_w)
 
 
@@ -215,14 +244,13 @@ def test_probability_conservation_direct_sum():
 
 def test_polynomial_matches_direct_summation(luts, polys):
     # re-derive F_out at F = 0.9 by summing over all 4^9 errors
-    from entdist.decoder import _bit_matrix, _pauli_enumeration
-
     code = builtin_code("913")
     lut = luts["913"]
-    xb, zb, w, _ = _pauli_enumeration(9)
-    res_x = xb ^ lut._leader_x[lut._syn_ids]
-    res_z = zb ^ lut._leader_z[lut._syn_ids]
-    gx, gz = _bit_matrix(code.logical_x + code.logical_z, 9)
+    xb, zb, w, _ = oracle.enumeration(9)
+    leader = lut._leaders[lut._syn_ids]
+    res_x = xb ^ xb[leader]
+    res_z = zb ^ zb[leader]
+    gx, gz = oracle.bit_matrix(code.logical_x + code.logical_z, 9)
     anti = (res_x.astype(np.int64) @ gz.T + res_z.astype(np.int64) @ gx.T) % 2
     corrected = ~anti.any(axis=1)
     f = 0.9
@@ -240,14 +268,13 @@ def test_monte_carlo_oracle_913(polys):
     letters = rng.choice(4, size=(n_samples, 9), p=[f] + [(1 - f) / 3] * 3)
     xb = ((letters == 1) | (letters == 2)).astype(np.int64)
     zb = ((letters == 2) | (letters == 3)).astype(np.int64)
-    from entdist.decoder import _bit_matrix
-
-    sx, sz = _bit_matrix(code.stabilizers, 9)
+    sx, sz = oracle.bit_matrix(code.stabilizers, 9)
     syn = (xb @ sz.T + zb @ sx.T) % 2
     sid = syn @ (1 << np.arange(7, -1, -1))
-    res_x = xb ^ lut._leader_x[sid]
-    res_z = zb ^ lut._leader_z[sid]
-    gx, gz = _bit_matrix(code.logical_x + code.logical_z, 9)
+    leader_x, leader_z, _, _ = oracle.enumeration(9)
+    res_x = xb ^ leader_x[lut._leaders[sid]]
+    res_z = zb ^ leader_z[lut._leaders[sid]]
+    gx, gz = oracle.bit_matrix(code.logical_x + code.logical_z, 9)
     anti = (res_x @ gz.T + res_z @ gx.T) % 2
     p_hat = float(np.mean(~anti.any(axis=1)))
     exact = eval_qec_map(polys["913"], f)
@@ -274,6 +301,13 @@ def test_code_distance_matches_stored():
     for name in builtin_names():
         code = builtin_code(name)
         assert code_distance(code) == code.d
+
+
+def test_packed_syndrome_refuses_more_than_31_operators():
+    # int32 syndrome ids would drop the first operators' bits
+    crowded = StabilizerCode("crowded", 2, 1, 1, (P("ZZ"),) * 32, (P("XX"),), (P("ZI"),))
+    with pytest.raises(ValueError, match="at most 31 operators"):
+        code_distance(crowded)
 
 
 def test_build_rejects_invalid_code():

@@ -161,6 +161,14 @@ def test_scan_arguments_checked(max_rounds, min_d):
         checkpoint_scan("933", np.array([0.99]), max_rounds=max_rounds, baseline_min_d=min_d)
 
 
+@pytest.mark.parametrize("max_rounds", [-1, math.nan])
+def test_scalar_strategy_functions_check_max_rounds(max_rounds):
+    with pytest.raises(ValueError, match="max_rounds must be >= 0"):
+        hybrid_run(0.99, max_rounds=max_rounds)
+    with pytest.raises(ValueError, match="max_rounds must be >= 0"):
+        min_rounds_to_fidelity(0.9, 0.95, max_rounds=max_rounds)
+
+
 def test_scalar_strategy_functions_reject_nan():
     for call in (hybrid_run, baseline_distillable, lambda f: min_rounds_to_fidelity(f, 0.9)):
         with pytest.raises(ValueError):
