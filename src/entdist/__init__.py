@@ -12,13 +12,12 @@ strategy (:mod:`~entdist.hybrid`), and convergence diagnostics
 (:mod:`~entdist.convergence`).
 """
 
-from .pauli import PauliString, canonical_key, commutes_with, multiply, weight
+from .pauli import PauliString, canonical_key, commutes_with, multiply
 
 __all__ = [
     "PauliString",
     "multiply",
     "commutes_with",
-    "weight",
     "canonical_key",
     "__version__",
 ]

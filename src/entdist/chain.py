@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 
 from .codes import builtin_code
-from .decoder import LogicalFidelityPolynomial, builtin_polynomial, eval_qec_map
+from .decoder import builtin_polynomial, eval_qec_map
 from .werner import swap_fidelity_uniform
 
 __all__ = [
@@ -98,33 +98,19 @@ def format_plan(plan: ChainPlan) -> str:
     return f"repeaters={plan.n_repeaters}; rounds={rounds}"
 
 
-def run_chain(plan: ChainPlan, f_in, polynomials=None):
+def run_chain(plan: ChainPlan, f_in):
     """End-to-end output fidelity for a plan, exactly.
 
-    Alternates the per-round fidelity map (identity on SKIP) with the
-    uniform swap composition.  ``f_in`` may be a scalar or an array; all
-    elementary links share the same input fidelity.  ``polynomials`` maps
-    code names to fidelity polynomials (builtin codes by default).
+    Alternates the per-round fidelity map of the builtin code (identity on
+    SKIP) with the uniform swap composition.  ``f_in`` may be a scalar or
+    an array; all elementary links share the same input fidelity.
     """
-    lookup = _resolve_polynomials(plan, polynomials)
     f = f_in
     for code_name, n_qs in zip(plan.rounds, plan.swap_counts):
         if code_name is not SKIP:
-            f = eval_qec_map(lookup[code_name], f)
+            f = eval_qec_map(builtin_polynomial(code_name), f)
         f = swap_fidelity_uniform(f, n_qs)
     return f
-
-
-def _resolve_polynomials(plan, polynomials) -> dict[str, LogicalFidelityPolynomial]:
-    lookup = {}
-    for name in plan.rounds:
-        if name is SKIP:
-            continue
-        if polynomials is not None and name in polynomials:
-            lookup[name] = polynomials[name]
-        else:
-            lookup[name] = builtin_polynomial(name)
-    return lookup
 
 
 @dataclass(frozen=True)

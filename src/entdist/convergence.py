@@ -104,17 +104,13 @@ class IdentityReport:
     bc_final: float | None = None
 
 
-def check_identities(
-    trace: ConvergenceTrace,
-    *,
-    u_rel_tol: float = 1e-10,
-    q_abs_tol: float = 1e-12,
-    log_rel_tol: float = 1e-8,
-    max_lag: int = 10,
-) -> IdentityReport:
+def check_identities(trace: ConvergenceTrace) -> IdentityReport:
+    """BBPSSW: u_n = u_0^(2^n) to 1e-10 relative (1e-8 in log space past
+    the float range) and q_{n+1} = q_n^2 to 1e-12 absolute.  DEJMPS: some
+    lag m <= 10 with u_{n+m} > u_n throughout, and u_final above 1e6."""
     if trace.protocol == "bbpssw":
-        return _check_bbpssw(trace, u_rel_tol, q_abs_tol, log_rel_tol)
-    return _check_dejmps(trace, max_lag)
+        return _check_bbpssw(trace)
+    return _check_dejmps(trace)
 
 
 def _finite_prefix(u: np.ndarray) -> np.ndarray:
@@ -123,7 +119,7 @@ def _finite_prefix(u: np.ndarray) -> np.ndarray:
     return u[:stop]
 
 
-def _check_bbpssw(trace, u_rel_tol, q_abs_tol, log_rel_tol) -> IdentityReport:
+def _check_bbpssw(trace) -> IdentityReport:
     # Python floats throughout, so the report holds plain bool and float
     u = _finite_prefix(trace.u).tolist()
     log_u0 = math.log(u[0])
@@ -144,9 +140,9 @@ def _check_bbpssw(trace, u_rel_tol, q_abs_tol, log_rel_tol) -> IdentityReport:
     for n in range(len(q) - 1):
         if math.isfinite(q[n]) and math.isfinite(q[n + 1]):
             q_res = max(q_res, abs(q[n + 1] - q[n] * q[n]))
-    u_ok = max_rel <= u_rel_tol
-    log_ok = max_log_rel <= log_rel_tol
-    q_ok = q_res <= q_abs_tol
+    u_ok = max_rel <= 1e-10
+    log_ok = max_log_rel <= 1e-8
+    q_ok = q_res <= 1e-12
     return IdentityReport(
         protocol="bbpssw",
         ok=u_ok and log_ok and q_ok,
@@ -159,10 +155,10 @@ def _check_bbpssw(trace, u_rel_tol, q_abs_tol, log_rel_tol) -> IdentityReport:
     )
 
 
-def _check_dejmps(trace, max_lag) -> IdentityReport:
+def _check_dejmps(trace) -> IdentityReport:
     u = _finite_prefix(trace.u)
     m_found = None
-    for m in range(1, max_lag + 1):
+    for m in range(1, 11):
         if len(u) > m and all(u[i + m] > u[i] for i in range(len(u) - m)):
             m_found = m
             break

@@ -193,13 +193,10 @@ class LogicalFidelityPolynomial:
         return eval_qec_map(self, f_in)
 
 
-def logical_fidelity_polynomial(code: StabilizerCode, lut: LookupTable | None = None) -> LogicalFidelityPolynomial:
-    """Classify all 4^n errors against the lookup table and count the
-    corrected ones by weight."""
-    if lut is None:
-        lut = build_lookup_table(code)
-    elif lut.code != code:
-        raise ValueError(f"lookup table was built for {lut.code.name!r}, not {code.name!r}")
+def logical_fidelity_polynomial(code: StabilizerCode) -> LogicalFidelityPolynomial:
+    """Classify all 4^n errors against the code's lookup table and count
+    the corrected ones by weight."""
+    lut = build_lookup_table(code)
     n = code.n
     mx, mz, w, _ = _pauli_enumeration(n)
     # lut._syn_ids is aligned with the same enumeration
@@ -238,18 +235,15 @@ def code_distance(code: StabilizerCode) -> int:
 @lru_cache(maxsize=None)
 def builtin_polynomial(name: str) -> LogicalFidelityPolynomial:
     """Cached fidelity polynomial for a builtin code."""
-    code = builtin_code(name)
-    return logical_fidelity_polynomial(code, build_lookup_table(code))
+    return logical_fidelity_polynomial(builtin_code(name))
 
 
 def polynomial_rows(poly: LogicalFidelityPolynomial) -> list[tuple[int, int]]:
     return [(w, a) for w, a in enumerate(poly.counts)]
 
 
-def map_rows(poly: LogicalFidelityPolynomial, grid=None) -> list[tuple[float, float]]:
-    """(F_in, F_out) pairs on a uniform grid (default 1000 points on [0, 1]),
-    the plot/export format; evaluation itself never interpolates."""
-    if grid is None:
-        grid = np.linspace(0.0, 1.0, 1000)
+def map_rows(poly: LogicalFidelityPolynomial, grid) -> list[tuple[float, float]]:
+    """(F_in, F_out) pairs on the given grid, the plot/export format;
+    evaluation itself never interpolates."""
     out = eval_qec_map(poly, grid)
     return list(zip((float(x) for x in grid), (float(y) for y in out)))

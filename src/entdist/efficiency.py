@@ -117,7 +117,7 @@ def _common_grid(curves) -> np.ndarray:
 def switching_points(curves) -> list[SwitchPoint]:
     """Crossings between adjacent curves in the given (envelope) order.
 
-    For each pair, scan for the first grid cell where the later curve
+    For each pair, find the first grid cell where the later curve
     overtakes the earlier one and place the crossing by linear
     interpolation.  Pairs that never cross inside the grid are omitted.
     """
@@ -125,12 +125,12 @@ def switching_points(curves) -> list[SwitchPoint]:
     points: list[SwitchPoint] = []
     for cur, nxt in zip(curves, curves[1:]):
         diff = nxt.values - cur.values
-        for i in range(1, len(grid)):
-            if diff[i] > 0.0 and diff[i - 1] <= 0.0:
-                frac = -diff[i - 1] / (diff[i] - diff[i - 1])
-                f_sw = grid[i - 1] + frac * (grid[i] - grid[i - 1])
-                points.append(SwitchPoint(cur.label, nxt.label, float(f_sw)))
-                break
+        ups = np.flatnonzero((diff[1:] > 0.0) & (diff[:-1] <= 0.0))
+        if ups.size:
+            i = ups[0] + 1
+            frac = -diff[i - 1] / (diff[i] - diff[i - 1])
+            f_sw = grid[i - 1] + frac * (grid[i] - grid[i - 1])
+            points.append(SwitchPoint(cur.label, nxt.label, float(f_sw)))
     return points
 
 

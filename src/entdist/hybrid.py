@@ -48,22 +48,22 @@ __all__ = [
 DEFAULT_BASELINE_D = 0.12
 
 
-def pseudo_threshold(poly: LogicalFidelityPolynomial, *, bracket=(0.8, 0.9999), tol: float = 1e-6) -> float:
-    """Largest fixed point below 1 of the code's fidelity map, by bisection
-    on eval(F) - F.  Above it one QEC round improves fidelity; below, it
-    degrades."""
-    grid = np.linspace(*bracket, 400)
+def pseudo_threshold(poly: LogicalFidelityPolynomial) -> float:
+    """Largest fixed point below 1 of the code's fidelity map inside
+    [0.8, 0.9999], by bisection on eval(F) - F to 1e-9.  Above it one QEC
+    round improves fidelity; below, it degrades."""
+    grid = np.linspace(0.8, 0.9999, 400)
     g = eval_qec_map(poly, grid) - grid
     ups = np.flatnonzero((g[1:] > 0.0) & (g[:-1] < 0.0))  # bisect the last upward crossing
     if not ups.size:
-        raise ValueError("no fidelity fixed point inside the bracket")
+        raise ValueError("no fidelity fixed point inside [0.8, 0.9999]")
     i = ups[-1]
-    return _bisect(lambda f: eval_qec_map(poly, f) - f, float(grid[i]), float(grid[i + 1]), tol)
+    return _bisect(lambda f: eval_qec_map(poly, f) - f, float(grid[i]), float(grid[i + 1]), 1e-9)
 
 
 @lru_cache(maxsize=None)
 def builtin_threshold(code_name: str) -> float:
-    return pseudo_threshold(builtin_polynomial(code_name), tol=1e-9)
+    return pseudo_threshold(builtin_polynomial(code_name))
 
 
 def _dejmps_trace(f_in, max_rounds: int):
@@ -134,7 +134,6 @@ def hybrid_run(
     f_in: float,
     code_name: str = "933",
     *,
-    threshold: float | None = None,
     max_rounds: int = 40,
 ) -> HybridResult:
     """DEJMPS to the code's pseudo-threshold, Werner twirl, one QEC round."""
@@ -143,8 +142,7 @@ def hybrid_run(
         raise ValueError("fidelity must lie in [0, 1]")
     code = builtin_code(code_name)
     poly = builtin_polynomial(code_name)
-    if threshold is None:
-        threshold = builtin_threshold(code_name)
+    threshold = builtin_threshold(code_name)
     fids, discards = _dejmps_trace(f_in, max_rounds)
     i_pre = _first_at_least(fids, threshold)
     if i_pre is None:

@@ -15,7 +15,6 @@ __all__ = [
     "PauliString",
     "multiply",
     "commutes_with",
-    "weight",
     "canonical_key",
 ]
 
@@ -95,6 +94,7 @@ class PauliString:
 
     @property
     def weight(self) -> int:
+        """Number of qubits on which the operator is not the identity."""
         return (self.x | self.z).bit_count()
 
     def letter(self, j: int) -> str:
@@ -144,11 +144,6 @@ def commutes_with(a: PauliString, b: PauliString) -> bool:
     """True iff the symplectic inner product (a.x·b.z + a.z·b.x) is even."""
     _check_same_n(a, b)
     return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 0
-
-
-def weight(a: PauliString) -> int:
-    """Number of qubits on which the operator is not the identity."""
-    return a.weight
 
 
 def canonical_key(a: PauliString) -> tuple[int, int]:

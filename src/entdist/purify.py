@@ -81,13 +81,14 @@ class PauliDistribution:
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.p_i, self.p_x, self.p_y, self.p_z)
 
-    def validate(self, tol: float = 1e-9) -> "PauliDistribution":
+    def validate(self) -> "PauliDistribution":
+        """Check the components: none below -1e-9, sum within 1e-9 of 1."""
         values = self.as_tuple()
         # negated comparisons, so that NaN fails them too
-        if not all(v >= -tol for v in values):
+        if not all(v >= -1e-9 for v in values):
             raise ValueError(f"negative or NaN component in {values}")
         total = sum(values)
-        if not abs(total - 1.0) <= tol:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"components sum to {total}, expected 1")
         return self
 
@@ -119,7 +120,8 @@ def _step(protocol: str, i, x, y, z):
 def _recurrence(protocol: str, comps, rounds: int, twirled: bool = False):
     """Iterate :func:`_step` from ``comps`` = (P_I, P_X, P_Y, P_Z), twirling
     after each round if asked, and yield (raw, p_discard, components,
-    p_total_discard, rate) per round; rate n = (1 - P_total_discard) / 2^n."""
+    p_total_discard, rate) per round; rate n = (1 - P_total_discard) * 0.5**n
+    (the float 2.0**n would overflow from n = 1024)."""
     p_total = 0.0
     for n in range(1, rounds + 1):
         raw, kept, p_discard = _step(protocol, *comps)
@@ -127,7 +129,7 @@ def _recurrence(protocol: str, comps, rounds: int, twirled: bool = False):
         if twirled:
             comps = _depolarized(comps[0])
         p_total = p_total + (1.0 - p_total) * p_discard
-        yield raw, p_discard, comps, p_total, (1.0 - p_total) / 2.0**n
+        yield raw, p_discard, comps, p_total, (1.0 - p_total) * 0.5**n
 
 
 def purify_step(protocol: str, dist: PauliDistribution) -> PurifyStep:

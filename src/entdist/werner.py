@@ -101,6 +101,7 @@ def swap_fidelity_uniform(f, n_swaps: int):
 
 
 @lru_cache(maxsize=1)
-def hashing_threshold(tol: float = 1e-12) -> float:
-    """Fidelity at which D_H crosses zero (about 0.8107), by bisection."""
-    return _bisect(distillable_entanglement, 0.75, 0.9, tol)
+def hashing_threshold() -> float:
+    """Fidelity at which D_H crosses zero (about 0.8107), by bisection
+    to 1e-12."""
+    return _bisect(distillable_entanglement, 0.75, 0.9, 1e-12)

@@ -54,7 +54,7 @@ def test_criterion_01_switching_points_match_table():
 
 
 def test_criterion_02_pseudo_threshold_933():
-    thr = pseudo_threshold(builtin_polynomial("933"), tol=1e-9)
+    thr = pseudo_threshold(builtin_polynomial("933"))
     assert 0.9543 <= thr <= 0.9583
     report(2, f"fixed point at {thr:.6f}")
 

@@ -188,6 +188,15 @@ def test_converge_trace(capsys):
     assert "identities: ok" in err
 
 
+def test_converge_past_1023_steps(capsys):
+    code, out, _ = run_cli(
+        capsys, "converge", "--protocol", "dejmps",
+        "--start", "0.6,0.1333,0.1333,0.1334", "--n", "2000",
+    )
+    assert code == 0
+    assert len(csv_rows(out)[1]) == 2001
+
+
 def test_deterministic_output(capsys):
     argv = ["map", "chain", "--repeaters", "1", "--rounds", "913,923,933", "--grid", "0.9:1:50"]
     _, first, _ = run_cli(capsys, *argv)

@@ -33,11 +33,8 @@ def luts():
 
 
 @pytest.fixture(scope="module")
-def polys(luts):
-    return {
-        name: logical_fidelity_polynomial(builtin_code(name), luts[name])
-        for name in builtin_names()
-    }
+def polys():
+    return {name: logical_fidelity_polynomial(builtin_code(name)) for name in builtin_names()}
 
 
 def test_worked_syndrome_example():
@@ -324,7 +321,7 @@ def test_classify_rejects_wrong_size(luts):
 def test_export_rows(polys):
     rows = polynomial_rows(polys["513"])
     assert rows == [(0, 1), (1, 15), (2, 0), (3, 60), (4, 135), (5, 45)]
-    grid_rows = map_rows(polys["913"])
+    grid_rows = map_rows(polys["913"], np.linspace(0.0, 1.0, 1000))
     assert len(grid_rows) == 1000
     assert grid_rows[0][0] == 0.0 and grid_rows[-1] == (1.0, 1.0)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from entdist.codes import builtin_code
-from entdist.decoder import builtin_polynomial, eval_qec_map
+from entdist.decoder import LogicalFidelityPolynomial, builtin_polynomial, eval_qec_map
 from entdist.hybrid import (
     StrategyResult,
     baseline_distillable,
@@ -37,8 +37,14 @@ def test_thresholds_bit_for_bit():
 
 
 def test_pseudo_threshold_needs_a_crossing_in_the_bracket():
+    identity = LogicalFidelityPolynomial("id", 1, 1, (1, 0))  # F_out = F
     with pytest.raises(ValueError, match="no fidelity fixed point"):
-        pseudo_threshold(builtin_polynomial("933"), bracket=(0.97, 0.9999))
+        pseudo_threshold(identity)
+
+
+@pytest.mark.parametrize("name", ["913", "923", "933"])
+def test_pseudo_threshold_is_the_builtin_threshold(name):
+    assert pseudo_threshold(builtin_polynomial(name)) == builtin_threshold(name)
 
 
 def test_threshold_characterization_all_codes():

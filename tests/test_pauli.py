@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from entdist.pauli import PauliString, canonical_key, commutes_with, multiply, weight
+from entdist.pauli import PauliString, canonical_key, commutes_with, multiply
 
 P = PauliString.from_string
 
@@ -40,9 +40,9 @@ def test_commutes_examples():
 
 
 def test_weight_examples():
-    assert weight(P("III")) == 0
-    assert weight(P("ZZI")) == 2
-    assert weight(P("YIZ")) == 2
+    assert P("III").weight == 0
+    assert P("ZZI").weight == 2
+    assert P("YIZ").weight == 2
 
 
 def test_phase_values():

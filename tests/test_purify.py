@@ -161,6 +161,11 @@ def test_trace_bookkeeping():
     )
 
 
+def test_rate_underflows_past_1023_rounds():
+    # the float 2.0**n overflows from n = 1024; the rate goes to 0.0 instead
+    assert run_rounds("dejmps", 1100, f_in=0.9).rounds[-1].rate == 0.0
+
+
 def test_run_rounds_argument_validation():
     with pytest.raises(ValueError):
         run_rounds("dejmps", 0, f_in=0.6)
