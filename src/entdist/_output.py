@@ -1,5 +1,7 @@
 """CSV/JSON table output with atomic file writes.
 
+A table is a mapping from column name to column; a column is a numpy
+array or a list of str/int/float/None, and all columns have one length.
 CSV is the primary format (header row, full double precision); JSON
 mirrors the same table as ``{"columns": [...], "rows": [[...]]}``.  Files
 are written to a temporary sibling and renamed into place so a failed run
@@ -8,15 +10,19 @@ never leaves a partial file behind.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 __all__ = ["format_cell", "render", "write_table", "emit"]
+
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+_BLOCK = 4096  # CSV rows per formatting block
 
 
 def format_cell(value) -> str:
@@ -31,28 +37,48 @@ def _jsonable(v):
     return v if v is None or isinstance(v, (int, float, str, bool)) else str(v)
 
 
-def render(columns, rows, fmt: str = "csv") -> str:
-    """The table as CSV or JSON text."""
+def _values(column) -> list:
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
+def _csv_cells(column) -> list[str]:
+    """A column as CSV fields.  A float array is formatted in one pass (its
+    digits never need quotes); other cells go through :func:`format_cell`
+    and are quoted as ``csv.writer`` does, with CR quoted as well."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return list(map("{:.17g}".format, column.tolist()))
+    cells = list(map(format_cell, _values(column)))
+    if _NEEDS_QUOTES.search("".join(cells)):
+        cells = ['"' + c.replace('"', '""') + '"' if _NEEDS_QUOTES.search(c) else c for c in cells]
+    return cells
+
+
+def render(table, fmt: str = "csv") -> str:
+    """The table (column name -> column) as CSV or JSON text; raises
+    ``ValueError`` on columns of unequal length."""
+    lengths = {name: len(column) for name, column in table.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"columns of unequal length: {lengths}")
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([format_cell(v) for v in row])
-        return buffer.getvalue()
+        starts = range(0, max(lengths.values(), default=0), _BLOCK)
+        blocks = [[[name] for name in table]]  # the header row, then blocks of rows
+        blocks += ([column[lo : lo + _BLOCK] for column in table.values()] for lo in starts)
+        # formatted one block at a time, which bounds the cells held at once
+        lines = (",".join(row) for block in blocks for row in zip(*map(_csv_cells, block)))
+        if len(table) == 1:  # csv.writer quotes a lone empty field
+            lines = (line or '""' for line in lines)
+        return "\n".join(lines) + "\n"
     if fmt == "json":
-        payload = {
-            "columns": list(columns),
-            "rows": [[_jsonable(v) for v in row] for row in rows],
-        }
+        values = [[_jsonable(v) for v in _values(column)] for column in table.values()]
+        payload = {"columns": list(table), "rows": [list(row) for row in zip(*values)]}
         return json.dumps(payload, indent=2) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def write_table(path, columns, rows, fmt: str = "csv") -> None:
+def write_table(path, table, fmt: str = "csv") -> None:
     """Write atomically: temp file in the target directory, then rename."""
     path = Path(path)
-    text = render(columns, rows, fmt)
+    text = render(table, fmt)
     directory = path.parent
     if not directory.is_dir():
         raise FileNotFoundError(f"output directory {directory} does not exist")
@@ -69,9 +95,9 @@ def write_table(path, columns, rows, fmt: str = "csv") -> None:
         raise
 
 
-def emit(columns, rows, path=None, fmt: str = "csv") -> None:
+def emit(table, path=None, fmt: str = "csv") -> None:
     """Write a table to a file when a path is given, else to stdout."""
     if path is not None:
-        write_table(path, columns, rows, fmt)
+        write_table(path, table, fmt)
     else:
-        sys.stdout.write(render(columns, rows, fmt))
+        sys.stdout.write(render(table, fmt))

@@ -10,6 +10,7 @@ can be overridden with the environment variables ``ENTDIST_GRID_POINTS``
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -64,98 +65,74 @@ def _out_path(arg: str | None) -> Path | None:
     return path
 
 
-def _purify_rows(protocol, rounds, twirled, start):
-    """Purify table rows, one per start column and round, from a single
-    array recurrence over every start column at once."""
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    per_round = [
-        np.stack([*comps, p_discard, p_total, rate])
-        for _, p_discard, comps, p_total, rate in purify._recurrence(
-            protocol, start, rounds, twirled
-        )
-    ]
-    values = np.stack(per_round).transpose(2, 0, 1).tolist()  # (column, round, value)
-    return [
-        [f, n, *v]
-        for f, column in zip(start[0].tolist(), values)
-        for n, v in enumerate(column, start=1)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def _cmd_codes(args) -> int:
     if args.action == "list":
-        rows = []
-        for name in codes.builtin_names():
-            c = codes.builtin_code(name)
-            rows.append([c.name, c.n, c.k, c.d, len(c.stabilizers)])
-        emit(["name", "n", "k", "d", "stabilizers"], rows, _out_path(args.output), args.format)
+        found = [codes.builtin_code(name) for name in codes.builtin_names()]
+        table = {field: [getattr(c, field) for c in found] for field in ("name", "n", "k", "d")}
+        table["stabilizers"] = [len(c.stabilizers) for c in found]
+        emit(table, _out_path(args.output), args.format)
         return 0
     # validate
     names = args.names or list(codes.builtin_names())
-    rows = []
-    all_ok = True
+    checked = []  # (code name, check result)
     for name in names:
         code = codes.load_code(name) if os.path.exists(name) else codes.builtin_code(name)
         report = codes.validate_code(code, check_distance=args.distance)
-        for check in report.checks:
-            rows.append([code.name, check.name, "pass" if check.passed else "fail", check.detail])
-            all_ok = all_ok and check.passed
-    emit(["code", "check", "result", "detail"], rows, _out_path(args.output), args.format)
-    return 0 if all_ok else 1
+        checked += [(code.name, check) for check in report.checks]
+    table = {
+        "code": [name for name, _ in checked],
+        "check": [check.name for _, check in checked],
+        "result": ["pass" if check.passed else "fail" for _, check in checked],
+        "detail": [check.detail for _, check in checked],
+    }
+    emit(table, _out_path(args.output), args.format)
+    return 0 if all(check.passed for _, check in checked) else 1
 
 
 def _cmd_map(args) -> int:
+    out = _out_path(args.output)
     if args.target == "qec":
         poly = decoder.builtin_polynomial(args.code)
         if args.counts:
-            rows = decoder.polynomial_rows(poly)
-            emit(["weight", "count"], rows, _out_path(args.output), args.format)
+            emit({"weight": range(len(poly.counts)), "count": list(poly.counts)}, out, args.format)
             return 0
-        grid = args.grid if args.grid is not None else np.linspace(0.0, 1.0, _env_points(1000))
-        rows = decoder.map_rows(poly, grid)
-        emit(["f_in", "f_out"], rows, _out_path(args.output), args.format)
-        return 0
-    # chain
-    plan = chain.ChainPlan(args.repeaters, chain.parse_rounds(args.rounds))
+    else:
+        plan = chain.ChainPlan(args.repeaters, chain.parse_rounds(args.rounds))
     grid = args.grid if args.grid is not None else np.linspace(0.0, 1.0, _env_points(1000))
-    f_out = chain.run_chain(plan, grid)
-    rows = list(zip((float(f) for f in grid), (float(v) for v in np.atleast_1d(f_out))))
-    emit(["f_in", "f_out"], rows, _out_path(args.output), args.format)
+    f_out = decoder.eval_qec_map(poly, grid) if args.target == "qec" else chain.run_chain(plan, grid)
+    emit({"f_in": grid, "f_out": f_out}, out, args.format)
     return 0
+
+
+def _switchpoints_path(path: Path) -> Path:
+    """The sibling file that ``efficiency --switchpoints`` writes next to ``path``."""
+    return path.with_name(path.stem + "_switchpoints" + path.suffix)
 
 
 def _cmd_efficiency(args) -> int:
     labels = [lab.strip().upper() for lab in args.protocols.split(",")]
     grid = args.grid if args.grid is not None else efficiency.default_grid(_env_points(2000))
     curves = efficiency.protocol_curves(args.repeaters, grid, labels)
-    columns = ["f_in"] + [f"E_{c.label}" for c in curves]
-    data = [list(pair) for pair in zip(grid, *(c.values for c in curves))]
+    table = {"f_in": grid, **{f"E_{c.label}": c.values for c in curves}}
     if args.envelope:
-        env_values, env_labels = efficiency.optimal_envelope(curves)
-        columns += ["E_envelope", "active_plan"]
-        for row, v, lab in zip(data, env_values, env_labels):
-            row.extend([v, lab])
+        table["E_envelope"], table["active_plan"] = efficiency.optimal_envelope(curves)
     out = _out_path(args.output)
-    emit(columns, data, out, args.format)
+    emit(table, out, args.format)
     if args.switchpoints:
         points = efficiency.switching_points(curves)
         by_pair = {(p.from_plan, p.to_plan): p.fidelity for p in points}
-        sp_columns = ["n_repeaters"]
-        sp_row = [args.repeaters]
+        sp_table = {"n_repeaters": [args.repeaters]}
         for cur, nxt in zip(curves, curves[1:]):
-            sp_columns.append(f"f_sw_{cur.label}_to_{nxt.label}")
-            sp_row.append(by_pair.get((cur.label, nxt.label)))
+            sp_table[f"f_sw_{cur.label}_to_{nxt.label}"] = [by_pair.get((cur.label, nxt.label))]
         if out is not None:
-            sp_path = out.with_name(out.stem + "_switchpoints" + out.suffix)
-            write_table(sp_path, sp_columns, [sp_row], args.format)
+            write_table(_switchpoints_path(out), sp_table, args.format)
         else:
             sys.stdout.write("\n")
-            emit(sp_columns, [sp_row], None, args.format)
+            emit(sp_table, None, args.format)
     return 0
 
 
@@ -172,9 +149,18 @@ def _cmd_purify(args) -> int:
     else:
         grid = args.grid if args.grid is not None else np.linspace(0.0, 1.0, _env_points(10000))
         start = purify._depolarized(_in_range(grid))
-    rows = _purify_rows(args.protocol, args.rounds, twirled, start)
-    columns = ["f_in", "round", "p_i", "p_x", "p_y", "p_z", "p_discard", "p_total_discard", "rate"]
-    emit(columns, rows, _out_path(args.output), args.format)
+    if args.rounds < 1:
+        raise ValueError("rounds must be >= 1")
+    # one array recurrence over every start column; rows run round-minor
+    recurrence = purify._recurrence(args.protocol, start, args.rounds, twirled)
+    per_round = [np.stack([*comps, d, total, rate]) for _, d, comps, total, rate in recurrence]
+    values = np.stack(per_round).transpose(1, 2, 0).reshape(7, -1)  # (value, column * round)
+    table = {
+        "f_in": np.repeat(start[0], args.rounds),
+        "round": np.tile(np.arange(1, args.rounds + 1), start[0].size),
+    }
+    table.update(zip(["p_i", "p_x", "p_y", "p_z", "p_discard", "p_total_discard", "rate"], values))
+    emit(table, _out_path(args.output), args.format)
     return 0
 
 
@@ -183,16 +169,10 @@ def _cmd_hybrid(args) -> int:
     scan = hybrid.checkpoint_scan(
         args.code, grid, max_rounds=args.max_rounds, baseline_min_d=args.baseline_d
     )
-    columns = [
-        "f_in", "i_pre", "i_match", "f_out_dejmps", "f_out_hybrid",
-        "rate_dejmps", "rate_hybrid", "E_dejmps", "E_hybrid", "winner",
-    ]
-    rows = [
-        [p.f_in, p.i_pre, p.i_match, p.f_out_dejmps, p.f_out_hybrid,
-         p.rate_dejmps, p.rate_hybrid, p.eff_dejmps, p.eff_hybrid, p.winner]
-        for p in scan
-    ]
-    emit(columns, rows, _out_path(args.output), args.format)
+    # ScanPoint fields in column order; the efficiencies are written E_*
+    fields = [f.name for f in dataclasses.fields(hybrid.ScanPoint)]
+    table = {name.replace("eff_", "E_"): [getattr(p, name) for p in scan] for name in fields}
+    emit(table, _out_path(args.output), args.format)
     return 0
 
 
@@ -200,11 +180,8 @@ def _cmd_converge(args) -> int:
     if len(args.start) != 4:
         raise ValueError("--start needs exactly 4 components: A,B,C,D")
     trace = convergence.iterate(args.protocol, args.start, args.n)
-    rows = [
-        [n, trace.a[n], trace.b[n], trace.c[n], trace.d[n], trace.u[n], trace.r[n], trace.q[n]]
-        for n in range(len(trace))
-    ]
-    emit(["n", "a", "b", "c", "d", "u", "r", "q"], rows, _out_path(args.output), args.format)
+    table = {"n": range(len(trace)), **{name: getattr(trace, name) for name in "abcdurq"}}
+    emit(table, _out_path(args.output), args.format)
     report = convergence.check_identities(trace)
     sys.stderr.write(f"identities: {'ok' if report.ok else 'FAILED'} ({report})\n")
     return 0 if report.ok else 1
@@ -224,7 +201,8 @@ def _cmd_repro(args) -> int:
         code = main(argv + ["--output", str(path), "--format", fmt])
         if code != 0:
             raise SystemExit(f"repro step {name} failed with exit code {code}")
-        manifest.append({"file": path.name, "argv": argv})
+        written = [path, _switchpoints_path(path)] if "--switchpoints" in argv else [path]
+        manifest.extend({"file": p.name, "argv": argv} for p in written)
 
     run("codes_validation", ["codes", "validate", "--distance"])
     for code_name in codes.builtin_names():

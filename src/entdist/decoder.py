@@ -43,8 +43,6 @@ __all__ = [
     "eval_qec_map",
     "code_distance",
     "builtin_polynomial",
-    "polynomial_rows",
-    "map_rows",
 ]
 
 
@@ -237,13 +235,3 @@ def builtin_polynomial(name: str) -> LogicalFidelityPolynomial:
     """Cached fidelity polynomial for a builtin code."""
     return logical_fidelity_polynomial(builtin_code(name))
 
-
-def polynomial_rows(poly: LogicalFidelityPolynomial) -> list[tuple[int, int]]:
-    return [(w, a) for w, a in enumerate(poly.counts)]
-
-
-def map_rows(poly: LogicalFidelityPolynomial, grid) -> list[tuple[float, float]]:
-    """(F_in, F_out) pairs on the given grid, the plot/export format;
-    evaluation itself never interpolates."""
-    out = eval_qec_map(poly, grid)
-    return list(zip((float(x) for x in grid), (float(y) for y in out)))

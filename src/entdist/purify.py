@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .pauli import PauliString, commutes_with
+from .werner import _in_range
 
 __all__ = [
     "PROTOCOLS",
@@ -133,13 +134,13 @@ def _recurrence(protocol: str, comps, rounds: int, twirled: bool = False):
 
 
 def purify_step(protocol: str, dist: PauliDistribution) -> PurifyStep:
-    raw, kept, p_discard = _step(_check_protocol(protocol), *dist.as_tuple())
+    raw, kept, p_discard = _step(_check_protocol(protocol), *dist.validate().as_tuple())
     return PurifyStep(raw, p_discard, PauliDistribution(*(v / kept for v in raw)))
 
 
 def twirl(dist: PauliDistribution) -> PauliDistribution:
     """Werner twirl: keep P_I, spread the rest equally over X/Y/Z."""
-    return PauliDistribution(*_depolarized(dist.p_i))
+    return PauliDistribution(*_depolarized(dist.validate().p_i))
 
 
 @dataclass(frozen=True)
@@ -205,6 +206,7 @@ def bbpssw_closed_form(f: float) -> tuple[float, float]:
     F_out = (F^2 + (1-F)^2/9) / (F^2 + 2F(1-F)/3 + 5(1-F)^2/9); the
     denominator is the keep probability.
     """
+    _in_range(f)
     g = 1.0 - f
     num = f * f + g * g / 9.0
     den = f * f + 2.0 * f * g / 3.0 + 5.0 * g * g / 9.0

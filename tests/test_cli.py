@@ -290,9 +290,11 @@ def test_repro_writes_manifest(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ENTDIST_GRID_POINTS", "40")
     outdir = tmp_path / "repro"
     code = main(["repro", "--outdir", str(outdir)])
-    capsys.readouterr()
+    err = capsys.readouterr().err
     assert code == 0
+    assert f"wrote 30 tables to {outdir.resolve()}" in err
     manifest = json.loads((outdir / "manifest.json").read_text())
-    assert len(manifest) >= 15
-    for entry in manifest:
-        assert (outdir / entry["file"]).exists()
+    written = {p.name for p in outdir.iterdir()} - {"manifest.json"}
+    assert {entry["file"] for entry in manifest} == written
+    assert len(manifest) == len(written) == 30
+    assert all(entry["argv"] for entry in manifest)

@@ -14,8 +14,6 @@ from entdist.decoder import (
     code_distance,
     eval_qec_map,
     logical_fidelity_polynomial,
-    map_rows,
-    polynomial_rows,
     syndrome_of,
 )
 from entdist.pauli import PauliString, canonical_key, multiply
@@ -319,11 +317,10 @@ def test_classify_rejects_wrong_size(luts):
 
 
 def test_export_rows(polys):
-    rows = polynomial_rows(polys["513"])
-    assert rows == [(0, 1), (1, 15), (2, 0), (3, 60), (4, 135), (5, 45)]
-    grid_rows = map_rows(polys["913"], np.linspace(0.0, 1.0, 1000))
-    assert len(grid_rows) == 1000
-    assert grid_rows[0][0] == 0.0 and grid_rows[-1] == (1.0, 1.0)
+    assert polys["513"].counts == (1, 15, 0, 60, 135, 45)
+    f_out = eval_qec_map(polys["913"], np.linspace(0.0, 1.0, 1000))
+    assert f_out.shape == (1000,)
+    assert f_out[-1] == 1.0
 
 
 def test_builtin_polynomial_cached():

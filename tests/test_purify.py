@@ -190,6 +190,16 @@ def test_validate_rejects_nan(values):
         PauliDistribution(*values).validate()
     with pytest.raises(ValueError):
         run_rounds("dejmps", 1, dist=PauliDistribution(*values))
+    with pytest.raises(ValueError):
+        purify_step("dejmps", PauliDistribution(*values))
+    with pytest.raises(ValueError):
+        twirl(PauliDistribution(*values))
+
+
+@pytest.mark.parametrize("f", [math.nan, math.inf, -0.1, 2.0])
+def test_closed_form_rejects_bad_fidelity(f):
+    with pytest.raises(ValueError):
+        bbpssw_closed_form(f)
 
 
 # --- independent circuit oracle ------------------------------------------
