@@ -3,7 +3,8 @@
 A table is a mapping from column name to column; a column is a numpy
 array or a list of str/int/float/None, and all columns have one length.
 CSV is the primary format (header row, full double precision); JSON
-mirrors the same table as ``{"columns": [...], "rows": [[...]]}``.  Files
+mirrors the same table as ``{"columns": [...], "rows": [[...]]}``, with
+non-finite floats as the strings of their CSV cells.  Files
 are written to a temporary sibling and renamed into place so a failed run
 never leaves a partial file behind.
 """
@@ -11,6 +12,7 @@ never leaves a partial file behind.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import sys
@@ -34,7 +36,11 @@ def format_cell(value) -> str:
 
 
 def _jsonable(v):
-    return v if v is None or isinstance(v, (int, float, str, bool)) else str(v)
+    """A cell as a JSON value: a non-finite float becomes the text of its
+    CSV cell ("inf", "-inf", "nan"), which RFC 8259 JSON can hold."""
+    if isinstance(v, float):
+        return v if math.isfinite(v) else format_cell(v)
+    return v if v is None or isinstance(v, (int, str, bool)) else str(v)
 
 
 def _values(column) -> list:
@@ -71,7 +77,7 @@ def render(table, fmt: str = "csv") -> str:
     if fmt == "json":
         values = [[_jsonable(v) for v in _values(column)] for column in table.values()]
         payload = {"columns": list(table), "rows": [list(row) for row in zip(*values)]}
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
 
 

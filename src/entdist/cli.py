@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import chain, codes, convergence, decoder, efficiency, hybrid, purify
+from . import _output, chain, codes, convergence, decoder, efficiency, hybrid, purify
 from ._output import emit, write_table
 from .werner import _in_range
 
@@ -69,6 +69,15 @@ def _out_path(arg: str | None) -> Path | None:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _check_columns(checks) -> dict:
+    """Named checks (:class:`codes.CheckResult`) as check/result/detail columns."""
+    return {
+        "check": [c.name for c in checks],
+        "result": ["pass" if c.passed else "fail" for c in checks],
+        "detail": [c.detail for c in checks],
+    }
+
+
 def _cmd_codes(args) -> int:
     if args.action == "list":
         found = [codes.builtin_code(name) for name in codes.builtin_names()]
@@ -83,12 +92,7 @@ def _cmd_codes(args) -> int:
         code = codes.load_code(name) if os.path.exists(name) else codes.builtin_code(name)
         report = codes.validate_code(code, check_distance=args.distance)
         checked += [(code.name, check) for check in report.checks]
-    table = {
-        "code": [name for name, _ in checked],
-        "check": [check.name for _, check in checked],
-        "result": ["pass" if check.passed else "fail" for _, check in checked],
-        "detail": [check.detail for _, check in checked],
-    }
+    table = {"code": [name for name, _ in checked], **_check_columns([c for _, c in checked])}
     emit(table, _out_path(args.output), args.format)
     return 0 if all(check.passed for _, check in checked) else 1
 
@@ -182,9 +186,9 @@ def _cmd_converge(args) -> int:
     trace = convergence.iterate(args.protocol, args.start, args.n)
     table = {"n": range(len(trace)), **{name: getattr(trace, name) for name in "abcdurq"}}
     emit(table, _out_path(args.output), args.format)
-    report = convergence.check_identities(trace)
-    sys.stderr.write(f"identities: {'ok' if report.ok else 'FAILED'} ({report})\n")
-    return 0 if report.ok else 1
+    checks = convergence.check_identities(trace)
+    sys.stderr.write(_output.render(_check_columns(checks), args.format))
+    return 0 if all(c.passed for c in checks) else 1
 
 
 def _cmd_repro(args) -> int:

@@ -7,11 +7,20 @@ used in the convergence analysis:
     BBPSSW:  s = a + d, t = b + c        DEJMPS:  s = a + c, t = b + d
     u = s/t,  r = d/a,  q = (1 - r)/(1 + r)
 
-For BBPSSW u and q square each step (u_n = u_0^(2^n), q_{n+1} = q_n^2) and
-(a, d) -> (1/2, 1/2); for DEJMPS u need not improve every step but
-eventually grows without bound and (a, d) -> (1, 0).  The eventual-growth
-behavior for DEJMPS is observed numerically, not proven, so the checker
-reports a counterexample candidate instead of asserting impossibility.
+For BBPSSW (a, d) -> (1/2, 1/2); for DEJMPS u need not improve every step
+but eventually grows without bound and (a, d) -> (1, 0).
+:func:`check_identities` returns these as named checks
+(:class:`~entdist.codes.CheckResult`) on the finite prefix of u:
+
+    bbpssw  u_doubling         u_n = u_0^(2^n) to 1e-10 relative, wherever
+                               u_0^(2^n) is a finite double
+            q_squaring         |q_{n+1} - q_n^2| <= 1e-12
+    dejmps  eventual_increase  some lag m <= 10 with u_{n+m} > u_n throughout
+            u_diverges         the last u (finite or not) is above 1e6
+
+The eventual growth for DEJMPS is observed numerically, not proven, so a
+failed ``eventual_increase`` marks a counterexample candidate instead of
+an impossibility.
 """
 
 from __future__ import annotations
@@ -21,9 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codes import CheckResult
 from .purify import _check_protocol, _recurrence
 
-__all__ = ["ConvergenceTrace", "IdentityReport", "iterate", "check_identities"]
+__all__ = ["ConvergenceTrace", "iterate", "check_identities"]
 
 _LOG_MAX_DOUBLE = math.log(np.finfo(float).max)
 
@@ -79,96 +89,30 @@ def iterate(protocol: str, start, n_max: int) -> ConvergenceTrace:
     return ConvergenceTrace(protocol, a, b, c, d, s, t, u, r, q)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Outcome of the per-protocol sequence identities on one trace.
-
-    BBPSSW fields: ``u_doubling_*`` compares u_n against u_0^(2^n) while
-    that target is representable (and in log space past that point),
-    ``q_squaring_max_abs`` is the worst |q_{n+1} - q_n^2|.  DEJMPS fields:
-    ``eventual_increase_m`` is the smallest lag m <= 10 with
-    u_{n+m} > u_n throughout (None = counterexample candidate), and
-    ``bc_final`` is the last b + c.
-    """
-
-    protocol: str
-    ok: bool
-    u_doubling_ok: bool | None = None
-    u_doubling_max_rel: float | None = None
-    u_doubling_checked: int | None = None
-    u_log_max_rel: float | None = None
-    q_squaring_ok: bool | None = None
-    q_squaring_max_abs: float | None = None
-    eventual_increase_m: int | None = None
-    u_final: float | None = None
-    bc_final: float | None = None
-
-
-def check_identities(trace: ConvergenceTrace) -> IdentityReport:
-    """BBPSSW: u_n = u_0^(2^n) to 1e-10 relative (1e-8 in log space past
-    the float range) and q_{n+1} = q_n^2 to 1e-12 absolute.  DEJMPS: some
-    lag m <= 10 with u_{n+m} > u_n throughout, and u_final above 1e6."""
+def check_identities(trace: ConvergenceTrace) -> tuple[CheckResult, ...]:
+    """The protocol's two identity checks on the finite prefix of u, each
+    stating in its detail what it measured (see the module docstring)."""
+    u = trace.u[np.logical_and.accumulate(np.isfinite(trace.u))]
     if trace.protocol == "bbpssw":
-        return _check_bbpssw(trace)
-    return _check_dejmps(trace)
-
-
-def _finite_prefix(u: np.ndarray) -> np.ndarray:
-    finite = np.isfinite(u)
-    stop = len(u) if finite.all() else int(np.argmin(finite))
-    return u[:stop]
-
-
-def _check_bbpssw(trace) -> IdentityReport:
-    # Python floats throughout, so the report holds plain bool and float
-    u = _finite_prefix(trace.u).tolist()
-    log_u0 = math.log(u[0])
-    max_rel = 0.0
-    checked = 0
-    max_log_rel = 0.0
-    for n in range(len(u)):
-        target_log = (2**n) * log_u0
-        if target_log <= _LOG_MAX_DOUBLE:
-            rel = abs(u[n] / math.exp(target_log) - 1.0)
-            max_rel = max(max_rel, rel)
-            checked += 1
-        elif u[n] > 0.0:
-            # past representability, compare in log space
-            max_log_rel = max(max_log_rel, abs(math.log(u[n]) - target_log) / target_log)
-    q = trace.q[: len(u)].tolist()
-    q_res = 0.0
-    for n in range(len(q) - 1):
-        if math.isfinite(q[n]) and math.isfinite(q[n + 1]):
-            q_res = max(q_res, abs(q[n + 1] - q[n] * q[n]))
-    u_ok = max_rel <= 1e-10
-    log_ok = max_log_rel <= 1e-8
-    q_ok = q_res <= 1e-12
-    return IdentityReport(
-        protocol="bbpssw",
-        ok=u_ok and log_ok and q_ok,
-        u_doubling_ok=u_ok,
-        u_doubling_max_rel=max_rel,
-        u_doubling_checked=checked,
-        u_log_max_rel=max_log_rel,
-        q_squaring_ok=q_ok,
-        q_squaring_max_abs=q_res,
-    )
-
-
-def _check_dejmps(trace) -> IdentityReport:
-    u = _finite_prefix(trace.u)
-    m_found = None
-    for m in range(1, 11):
-        if len(u) > m and all(u[i + m] > u[i] for i in range(len(u) - m)):
-            m_found = m
-            break
+        target_log = 2.0 ** np.arange(len(u)) * math.log(u[0])
+        fits = target_log <= _LOG_MAX_DOUBLE  # u_0^(2^n) is a finite double
+        max_rel = np.abs(u[fits] / np.exp(target_log[fits]) - 1.0).max(initial=0.0)
+        q = trace.q[: len(u)]
+        res = np.abs(q[1:] - q[:-1] ** 2)
+        max_res = res[np.isfinite(res)].max(initial=0.0)
+        return (
+            CheckResult("u_doubling", bool(max_rel <= 1e-10),
+                        f"max relative error {max_rel:.2g} over {fits.sum()} steps"),
+            CheckResult("q_squaring", bool(max_res <= 1e-12),
+                        f"max |q_(n+1) - q_n^2| = {max_res:.2g} over {res.size} steps"),
+        )
+    m = next((m for m in range(1, 11) if len(u) > m and (u[m:] > u[:-m]).all()), None)
     u_final = float(trace.u[-1])
-    bc_final = float(trace.b[-1] + trace.c[-1])
-    diverged = (not math.isfinite(u_final)) or u_final > 1e6
-    return IdentityReport(
-        protocol="dejmps",
-        ok=m_found is not None and diverged,
-        eventual_increase_m=m_found,
-        u_final=u_final,
-        bc_final=bc_final,
+    diverged = not u_final <= 1e6  # negated, so that NaN counts as diverged, as inf does
+    return (
+        CheckResult("eventual_increase", m is not None,
+                    f"smallest lag m = {m} with u_(n+m) > u_n throughout" if m
+                    else "no lag m <= 10 with u_(n+m) > u_n throughout"),
+        CheckResult("u_diverges", diverged,
+                    f"u_final = {u_final:g} is {'' if diverged else 'not '}above 1e6"),
     )

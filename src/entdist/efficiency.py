@@ -74,13 +74,17 @@ class SwitchPoint:
 
 
 def efficiency_value(rate, f_in, f_out):
-    """E = rate * D(f_out) / D(f_in); requires D(f_in) > 0."""
+    """E = rate * D(f_out) / D(f_in); requires a rate in [0, 1] and
+    D(f_in) > 0."""
+    rate = float(rate)
+    if not 0.0 <= rate <= 1.0:  # negated, so that NaN fails it too
+        raise ValueError(f"rate must lie in [0, 1], got {rate}")
     d_in = distillable_entanglement(f_in)
     if np.any(np.asarray(d_in) <= 0.0):
         raise ValueError(
             "efficiency is undefined at or below the hashing threshold (D(F_in) <= 0)"
         )
-    return float(rate) * distillable_entanglement(f_out) / d_in
+    return rate * distillable_entanglement(f_out) / d_in
 
 
 def efficiency_curve(plan: ChainPlan, grid=None, label: str | None = None) -> EfficiencyCurve:

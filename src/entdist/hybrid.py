@@ -28,7 +28,7 @@ import numpy as np
 from .codes import builtin_code
 from .decoder import LogicalFidelityPolynomial, builtin_polynomial, eval_qec_map
 from .purify import _depolarized, _recurrence
-from .werner import _bisect, distillable_entanglement
+from .werner import _bisect, _check_count, distillable_entanglement
 
 __all__ = [
     "DEFAULT_BASELINE_D",
@@ -87,13 +87,8 @@ def _first_at_least(values, bar) -> int | None:
     return next((i for i, v in enumerate(values) if v >= bar), None)
 
 
-def _check_max_rounds(max_rounds: int) -> None:
-    if not max_rounds >= 0:  # negated, so that NaN fails it too
-        raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
-
-
 def _check_scan_args(max_rounds: int, min_d: float) -> None:
-    _check_max_rounds(max_rounds)
+    _check_count(max_rounds, "max_rounds")
     if not 0.0 < min_d <= 1.0:  # negated, so that NaN fails it too
         raise ValueError(f"baseline distillable entanglement must lie in (0, 1], got {min_d}")
 
@@ -102,7 +97,7 @@ def min_rounds_to_fidelity(f_in: float, target: float, *, max_rounds: int = 40) 
     """Smallest number of DEJMPS (no twirl) rounds from a depolarizing
     start whose fidelity reaches the target; None if not reached within
     ``max_rounds`` (F_in <= 0.5 is pinned at the 0.5 fixed point)."""
-    _check_max_rounds(max_rounds)
+    _check_count(max_rounds, "max_rounds")
     if not 0.0 < f_in <= 1.0:
         raise ValueError("input fidelity must lie in (0, 1]")
     if not 0.5 < target < 1.0:
@@ -137,7 +132,7 @@ def hybrid_run(
     max_rounds: int = 40,
 ) -> HybridResult:
     """DEJMPS to the code's pseudo-threshold, Werner twirl, one QEC round."""
-    _check_max_rounds(max_rounds)
+    _check_count(max_rounds, "max_rounds")
     if not 0.0 <= f_in <= 1.0:
         raise ValueError("fidelity must lie in [0, 1]")
     code = builtin_code(code_name)
@@ -196,6 +191,11 @@ def refined_efficiency(
     baseline_min_d: float = DEFAULT_BASELINE_D,
     max_rounds: int = 40,
 ) -> float:
+    if not (0.0 <= result.output_ratio <= 1.0 and 0.0 <= result.p_total_discard <= 1.0):
+        raise ValueError(
+            "output_ratio and p_total_discard must lie in [0, 1], "
+            f"got {result.output_ratio} and {result.p_total_discard}"
+        )
     d_base, _ = baseline_distillable(result.f_in, min_d=baseline_min_d, max_rounds=max_rounds)
     value = (
         result.output_ratio

@@ -10,6 +10,7 @@ clamp it themselves.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -31,6 +32,13 @@ def _in_range(x, lo=0.0, hi=1.0, what="fidelity"):
     if not ((x >= lo) & (x <= hi)).all():
         raise ValueError(f"{what} must lie in [{lo:g}, {hi:g}]")
     return x
+
+
+def _check_count(n, what):
+    """Raises unless ``n`` is a whole number >= 0.  The test is negated, so
+    that NaN fails it too; inf fails it before ``int`` sees it."""
+    if not (0 <= n < math.inf and n == int(n)):
+        raise ValueError(f"{what} must be >= 0 and whole, got {n}")
 
 
 def _scalar(out):
@@ -94,8 +102,7 @@ def swap_fidelity_uniform(f, n_swaps: int):
     """Uniform-fidelity form: n_swaps swaps join n_swaps+1 equal links,
     F_eff = 1/4 + 3/4 * ((4F-1)/3)^(n_swaps+1).  n_swaps = 0 is the
     identity."""
-    if n_swaps < 0:
-        raise ValueError("swap count must be nonnegative")
+    _check_count(n_swaps, "swap count")
     w = (4.0 * _in_range(f) - 1.0) / 3.0
     return _scalar(0.25 + 0.75 * w ** (n_swaps + 1))
 

@@ -20,6 +20,9 @@ def format_cell(value) -> str:
 
 
 def _jsonable(v):
+    # a non-finite float is written as the text of its CSV cell
+    if isinstance(v, float) and (v != v or abs(v) == float("inf")):
+        return format_cell(v)
     return v if v is None or isinstance(v, (int, float, str, bool)) else str(v)
 
 
@@ -37,5 +40,5 @@ def render(columns, rows, fmt="csv"):
             "columns": list(columns),
             "rows": [[_jsonable(v) for v in row] for row in rows],
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+import identity_oracle
 from entdist.convergence import check_identities, iterate
 from entdist.decoder import builtin_polynomial, eval_qec_map
 from entdist.efficiency import protocol_curves, switching_points
@@ -153,13 +154,12 @@ def test_criterion_08_convergence_limits():
         assert abs(tb.a[-1] - 0.5) < 1e-6, start
         assert abs(td.a[-1] - 1.0) < 1e-6, start
     trace = iterate("bbpssw", (0.6, 0.4 / 3, 0.4 / 3, 0.4 / 3), 40)
-    identity = check_identities(trace)
-    assert identity.u_doubling_ok and identity.u_doubling_max_rel <= 1e-10
-    report(
-        8,
-        f"10 starts converged; u-doubling max rel {identity.u_doubling_max_rel:.2e} "
-        f"over {identity.u_doubling_checked} representable steps",
-    )
+    checks = {c.name: c for c in check_identities(trace)}
+    assert checks["u_doubling"].passed and checks["q_squaring"].passed
+    ref = identity_oracle.check_identities(trace)
+    assert ref.u_doubling_max_rel <= 1e-10 and ref.u_doubling_checked >= 9
+    assert checks["u_doubling"].detail.endswith(f" over {ref.u_doubling_checked} steps")
+    report(8, f"10 starts converged; u-doubling {checks['u_doubling'].detail}")
 
 
 def test_criterion_09_rate_accounting_exact():

@@ -185,7 +185,50 @@ def test_converge_trace(capsys):
     assert header == ["n", "a", "b", "c", "d", "u", "r", "q"]
     assert len(rows) == 51
     assert abs(float(rows[-1][1]) - 0.5) < 1e-6
-    assert "identities: ok" in err
+    header, checks = csv_rows(err)
+    assert header == ["check", "result", "detail"]
+    assert [row[:2] for row in checks] == [["u_doubling", "pass"], ["q_squaring", "pass"]]
+
+
+def strict_json(text):
+    """Parse as RFC 8259 JSON: the bare tokens NaN and Infinity are refused."""
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_converge_names_the_failed_check(capsys, fmt):
+    code, _, err = run_cli(
+        capsys, "converge", "--protocol", "dejmps",
+        "--start", "0.6,0.1333,0.1333,0.1334", "--n", "3", "--format", fmt,
+    )
+    assert code == 1
+    if fmt == "json":
+        payload = strict_json(err)
+        assert payload["columns"] == ["check", "result", "detail"]
+        rows = payload["rows"]
+    else:
+        rows = csv_rows(err)[1]
+    assert rows == [
+        ["eventual_increase", "pass", "smallest lag m = 2 with u_(n+m) > u_n throughout"],
+        ["u_diverges", "fail", "u_final = 4.72555 is not above 1e6"],
+    ]
+    assert "Report(" not in err and "np." not in err
+
+
+def test_converge_json_is_strict_json(capsys):
+    code, out, _ = run_cli(
+        capsys, "converge", "--protocol", "dejmps",
+        "--start", "0.6,0.1333,0.1333,0.1334", "--n", "50", "--format", "json",
+    )
+    assert code == 0
+    payload = strict_json(out)
+    u = [row[payload["columns"].index("u")] for row in payload["rows"]]
+    assert "inf" in u  # u overflows; the cell holds the CSV text
+    assert all(v == "inf" or isinstance(v, float) for v in u)
 
 
 def test_converge_past_1023_steps(capsys):

@@ -3,7 +3,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import identity_oracle as oracle
 from entdist.convergence import check_identities, iterate
 from entdist.purify import PauliDistribution, run_rounds
 
@@ -64,15 +66,21 @@ def test_perfect_start_is_fixed_point_of_map():
         assert trace.fidelities == (1.0,) * 6
 
 
+def checks_by_name(trace):
+    checks = check_identities(trace)
+    assert all(type(c.passed) is bool and type(c.detail) is str for c in checks)
+    return {c.name: c for c in checks}
+
+
 def test_bbpssw_u_doubling_identity():
     trace = iterate("bbpssw", (0.6, 0.4 / 3, 0.4 / 3, 0.4 / 3), 40)
-    report = check_identities(trace)
-    assert report.ok
-    assert type(report.ok) is bool and type(report.u_doubling_ok) is bool
-    assert type(report.u_doubling_max_rel) is float and type(report.q_squaring_max_abs) is float
-    assert report.u_doubling_ok and report.u_doubling_max_rel <= 1e-10
-    assert report.u_doubling_checked >= 9  # representable through n = 9 here
-    assert report.q_squaring_ok and report.q_squaring_max_abs <= 1e-12
+    checks = checks_by_name(trace)
+    assert list(checks) == ["u_doubling", "q_squaring"]
+    assert checks["u_doubling"].passed and checks["q_squaring"].passed
+    ref = oracle.check_identities(trace)
+    assert ref.u_doubling_max_rel <= 1e-10 and ref.q_squaring_max_abs <= 1e-12
+    assert ref.u_doubling_checked >= 9  # representable through n = 9 here
+    assert checks["u_doubling"].detail.endswith(f" over {ref.u_doubling_checked} steps")
 
 
 def test_bbpssw_q_monotone_to_zero():
@@ -105,18 +113,44 @@ def test_dejmps_case_three_example():
     # u_1 can fall below u_0^2 (third case), yet the sequence still diverges
     trace = iterate("dejmps", (0.7, 0.1, 0.1, 0.1), 25)
     assert trace.u[1] < trace.u[0] ** 2
-    report = check_identities(trace)
-    assert report.ok
-    assert type(report.ok) is bool and type(report.u_final) is float
-    assert report.eventual_increase_m is not None and report.eventual_increase_m <= 10
-    assert report.bc_final < 1e-8
-    assert not math.isfinite(report.u_final) or report.u_final > 1e6
+    checks = checks_by_name(trace)
+    assert list(checks) == ["eventual_increase", "u_diverges"]
+    assert checks["eventual_increase"].passed and checks["u_diverges"].passed
+    m = oracle.check_identities(trace).eventual_increase_m
+    assert m is not None and m <= 10
+    assert checks["eventual_increase"].detail.startswith(f"smallest lag m = {m} ")
+    assert trace.b[-1] + trace.c[-1] < 1e-8
+    assert not math.isfinite(trace.u[-1]) or trace.u[-1] > 1e6
 
 
 def test_dejmps_identities_on_random_starts():
     for start in STARTS:
-        report = check_identities(iterate("dejmps", start, 40))
-        assert report.ok, (start, report)
+        checks = check_identities(iterate("dejmps", start, 40))
+        assert all(c.passed for c in checks), (start, checks)
+
+
+@st.composite
+def starts(draw):
+    """(a, b, c, d) with a > 1/2, the rest strictly positive, sum 1."""
+    a = draw(st.floats(0.5, 1.0, exclude_min=True, exclude_max=True))
+    weights = [draw(st.floats(1e-3, 1.0)) for _ in range(3)]
+    rest = 1.0 - a
+    return (a, *(rest * w / sum(weights) for w in weights))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["bbpssw", "dejmps"]), starts(), st.integers(1, 200))
+def test_checks_agree_with_loop_oracle(protocol, start, n):
+    trace = iterate(protocol, start, n)
+    checks = checks_by_name(trace)
+    ref = oracle.check_identities(trace)
+    assert all(c.passed for c in checks.values()) == ref.ok
+    if protocol == "bbpssw":
+        assert checks["u_doubling"].passed == ref.u_doubling_ok
+        assert checks["u_doubling"].detail.endswith(f" over {ref.u_doubling_checked} steps")
+        assert checks["q_squaring"].passed == ref.q_squaring_ok
+    else:
+        assert checks["eventual_increase"].passed == (ref.eventual_increase_m is not None)
 
 
 def test_trace_matches_purification_module():

@@ -34,6 +34,12 @@ def test_efficiency_requires_positive_input_entanglement():
         efficiency_value(1, 0.8, 0.9)
 
 
+@pytest.mark.parametrize("rate", [-1, 1.5, -1e-300])
+def test_efficiency_requires_rate_in_unit_interval(rate):
+    with pytest.raises(ValueError, match="rate must lie in"):
+        efficiency_value(rate, 0.9, 0.95)
+
+
 def test_protocol_plan_labels():
     assert protocol_plan("p3", 1).rounds == ("913", "923", "933")
     with pytest.raises(ValueError, match="unknown protocol"):

@@ -143,6 +143,9 @@ def test_refined_efficiency_clamps_and_normalizes():
     assert refined_efficiency(StrategyResult("x", 0.9, 0.9, 1.0, 0.0)) == pytest.approx(1.0)
     # discard scales linearly
     assert refined_efficiency(StrategyResult("x", 0.9, 0.9, 1.0, 0.25)) == pytest.approx(0.75)
+    for ratio, discard in ((1.5, 0.0), (-0.5, 0.0), (1.0, -0.1), (1.0, 1.1)):
+        with pytest.raises(ValueError, match="must lie in"):
+            refined_efficiency(StrategyResult("x", 0.9, 0.9, ratio, discard))
 
 
 def test_scan_grid_validation():
@@ -167,7 +170,7 @@ def test_scan_arguments_checked(max_rounds, min_d):
         checkpoint_scan("933", np.array([0.99]), max_rounds=max_rounds, baseline_min_d=min_d)
 
 
-@pytest.mark.parametrize("max_rounds", [-1, math.nan])
+@pytest.mark.parametrize("max_rounds", [-1, math.nan, math.inf, 2.5])
 def test_scalar_strategy_functions_check_max_rounds(max_rounds):
     with pytest.raises(ValueError, match="max_rounds must be >= 0"):
         hybrid_run(0.99, max_rounds=max_rounds)

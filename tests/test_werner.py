@@ -133,6 +133,12 @@ def test_uniform_zero_swaps_is_identity():
     assert np.allclose(swap_fidelity_uniform(grid, 0), grid, atol=1e-15)
 
 
+@pytest.mark.parametrize("n_swaps", [-1, 2.5])
+def test_uniform_swap_count_must_be_whole(n_swaps):
+    with pytest.raises(ValueError, match="swap count must be >= 0 and whole"):
+        swap_fidelity_uniform(0.9, n_swaps)
+
+
 @given(st.lists(st.floats(0.25, 1.0, allow_nan=False), min_size=1, max_size=5))
 def test_swap_never_exceeds_best_input_for_nonnegative_werner(fids):
     assert swap_fidelity(fids) <= max(fids) + 1e-12
