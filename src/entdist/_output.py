@@ -15,13 +15,12 @@ import json
 import math
 import os
 import re
-import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["format_cell", "render", "write_table", "emit"]
+__all__ = ["format_cell", "render", "write_table"]
 
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 _BLOCK = 4096  # CSV rows per formatting block
@@ -99,11 +98,3 @@ def write_table(path, table, fmt: str = "csv") -> None:
         except OSError:
             pass
         raise
-
-
-def emit(table, path=None, fmt: str = "csv") -> None:
-    """Write a table to a file when a path is given, else to stdout."""
-    if path is not None:
-        write_table(path, table, fmt)
-    else:
-        sys.stdout.write(render(table, fmt))

@@ -1,10 +1,8 @@
 """Command-line front end emitting plot-ready CSV/JSON.
 
 Every subcommand is deterministic: identical invocations produce
-byte-identical output.  Grids are given as ``min:max:points``.  Defaults
-can be overridden with the environment variables ``ENTDIST_GRID_POINTS``
-(grid density where a command has a default grid) and ``ENTDIST_OUTDIR``
-(directory prepended to relative output paths).
+byte-identical output, whatever the environment.  Grids are given as
+``min:max:points``.
 """
 
 from __future__ import annotations
@@ -20,23 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import _output, chain, codes, convergence, decoder, efficiency, hybrid, purify
-from ._output import emit, write_table
 from .werner import _in_range
 
 __all__ = ["main", "build_parser"]
-
-
-def _env_points(default: int) -> int:
-    value = os.environ.get("ENTDIST_GRID_POINTS")
-    if value is None:
-        return default
-    try:
-        points = int(value)
-    except ValueError:
-        points = 0
-    if points < 1:
-        raise ValueError(f"ENTDIST_GRID_POINTS must be a positive integer, got {value!r}")
-    return points
 
 
 def _parse_grid(spec: str):
@@ -55,14 +39,22 @@ def _parse_grid(spec: str):
     return np.linspace(lo, hi, points)
 
 
-def _out_path(arg: str | None) -> Path | None:
-    if arg is None:
-        return None
-    path = Path(arg)
-    outdir = os.environ.get("ENTDIST_OUTDIR")
-    if outdir and not path.is_absolute():
-        path = Path(outdir) / path
-    return path
+def _table_path(output, key: str) -> Path:
+    """Where the table under ``key`` goes: ``""`` at ``output`` itself, any
+    other key at the sibling whose stem gains the key."""
+    path = Path(output)
+    return path.with_name(path.stem + key + path.suffix) if key else path
+
+
+def _write(args, tables: dict) -> None:
+    """Write a subcommand's tables (file-name key -> table) to the paths
+    :func:`_table_path` gives for ``--output``; without ``--output``, to
+    stdout one blank line apart."""
+    if args.output is None:
+        sys.stdout.write("\n".join(_output.render(t, args.format) for t in tables.values()))
+        return
+    for key, table in tables.items():
+        _output.write_table(_table_path(args.output, key), table, args.format)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +75,7 @@ def _cmd_codes(args) -> int:
         found = [codes.builtin_code(name) for name in codes.builtin_names()]
         table = {field: [getattr(c, field) for c in found] for field in ("name", "n", "k", "d")}
         table["stabilizers"] = [len(c.stabilizers) for c in found]
-        emit(table, _out_path(args.output), args.format)
+        _write(args, {"": table})
         return 0
     # validate
     names = args.names or list(codes.builtin_names())
@@ -93,50 +85,39 @@ def _cmd_codes(args) -> int:
         report = codes.validate_code(code, check_distance=args.distance)
         checked += [(code.name, check) for check in report.checks]
     table = {"code": [name for name, _ in checked], **_check_columns([c for _, c in checked])}
-    emit(table, _out_path(args.output), args.format)
+    _write(args, {"": table})
     return 0 if all(check.passed for _, check in checked) else 1
 
 
 def _cmd_map(args) -> int:
-    out = _out_path(args.output)
     if args.target == "qec":
         poly = decoder.builtin_polynomial(args.code)
         if args.counts:
-            emit({"weight": range(len(poly.counts)), "count": list(poly.counts)}, out, args.format)
+            _write(args, {"": {"weight": range(len(poly.counts)), "count": list(poly.counts)}})
             return 0
     else:
         plan = chain.ChainPlan(args.repeaters, chain.parse_rounds(args.rounds))
-    grid = args.grid if args.grid is not None else np.linspace(0.0, 1.0, _env_points(1000))
+    grid = args.grid if args.grid is not None else np.linspace(0.0, 1.0, 1000)
     f_out = decoder.eval_qec_map(poly, grid) if args.target == "qec" else chain.run_chain(plan, grid)
-    emit({"f_in": grid, "f_out": f_out}, out, args.format)
+    _write(args, {"": {"f_in": grid, "f_out": f_out}})
     return 0
-
-
-def _switchpoints_path(path: Path) -> Path:
-    """The sibling file that ``efficiency --switchpoints`` writes next to ``path``."""
-    return path.with_name(path.stem + "_switchpoints" + path.suffix)
 
 
 def _cmd_efficiency(args) -> int:
     labels = [lab.strip().upper() for lab in args.protocols.split(",")]
-    grid = args.grid if args.grid is not None else efficiency.default_grid(_env_points(2000))
+    grid = args.grid if args.grid is not None else efficiency.default_grid()
     curves = efficiency.protocol_curves(args.repeaters, grid, labels)
     table = {"f_in": grid, **{f"E_{c.label}": c.values for c in curves}}
     if args.envelope:
         table["E_envelope"], table["active_plan"] = efficiency.optimal_envelope(curves)
-    out = _out_path(args.output)
-    emit(table, out, args.format)
+    tables = {"": table}
     if args.switchpoints:
         points = efficiency.switching_points(curves)
         by_pair = {(p.from_plan, p.to_plan): p.fidelity for p in points}
-        sp_table = {"n_repeaters": [args.repeaters]}
+        sp_table = tables["_switchpoints"] = {"n_repeaters": [args.repeaters]}
         for cur, nxt in zip(curves, curves[1:]):
             sp_table[f"f_sw_{cur.label}_to_{nxt.label}"] = [by_pair.get((cur.label, nxt.label))]
-        if out is not None:
-            write_table(_switchpoints_path(out), sp_table, args.format)
-        else:
-            sys.stdout.write("\n")
-            emit(sp_table, None, args.format)
+    _write(args, tables)
     return 0
 
 
@@ -151,32 +132,32 @@ def _cmd_purify(args) -> int:
         dist = purify.PauliDistribution(*args.input_dist).validate()
         start = tuple(np.array([v]) for v in dist.as_tuple())
     else:
-        grid = args.grid if args.grid is not None else np.linspace(0.0, 1.0, _env_points(10000))
+        grid = args.grid if args.grid is not None else np.linspace(0.0, 1.0, 10000)
         start = purify._depolarized(_in_range(grid))
     if args.rounds < 1:
         raise ValueError("rounds must be >= 1")
     # one array recurrence over every start column; rows run round-minor
     recurrence = purify._recurrence(args.protocol, start, args.rounds, twirled)
-    per_round = [np.stack([*comps, d, total, rate]) for _, d, comps, total, rate in recurrence]
+    per_round = [np.stack([*comps, d, total, rate]) for d, comps, total, rate in recurrence]
     values = np.stack(per_round).transpose(1, 2, 0).reshape(7, -1)  # (value, column * round)
     table = {
         "f_in": np.repeat(start[0], args.rounds),
         "round": np.tile(np.arange(1, args.rounds + 1), start[0].size),
     }
     table.update(zip(["p_i", "p_x", "p_y", "p_z", "p_discard", "p_total_discard", "rate"], values))
-    emit(table, _out_path(args.output), args.format)
+    _write(args, {"": table})
     return 0
 
 
 def _cmd_hybrid(args) -> int:
-    grid = args.grid if args.grid is not None else hybrid.default_scan_grid(_env_points(10000))
+    grid = args.grid if args.grid is not None else hybrid.default_scan_grid()
     scan = hybrid.checkpoint_scan(
         args.code, grid, max_rounds=args.max_rounds, baseline_min_d=args.baseline_d
     )
     # ScanPoint fields in column order; the efficiencies are written E_*
     fields = [f.name for f in dataclasses.fields(hybrid.ScanPoint)]
     table = {name.replace("eff_", "E_"): [getattr(p, name) for p in scan] for name in fields}
-    emit(table, _out_path(args.output), args.format)
+    _write(args, {"": table})
     return 0
 
 
@@ -185,7 +166,7 @@ def _cmd_converge(args) -> int:
         raise ValueError("--start needs exactly 4 components: A,B,C,D")
     trace = convergence.iterate(args.protocol, args.start, args.n)
     table = {"n": range(len(trace)), **{name: getattr(trace, name) for name in "abcdurq"}}
-    emit(table, _out_path(args.output), args.format)
+    _write(args, {"": table})
     checks = convergence.check_identities(trace)
     sys.stderr.write(_output.render(_check_columns(checks), args.format))
     return 0 if all(c.passed for c in checks) else 1
@@ -193,9 +174,8 @@ def _cmd_converge(args) -> int:
 
 def _cmd_repro(args) -> int:
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
-    outdir = _out_path(args.outdir if args.outdir else f"entdist_repro_{stamp}")
+    outdir = Path(args.outdir or f"entdist_repro_{stamp}")
     outdir.mkdir(parents=True, exist_ok=True)
-    outdir = outdir.resolve()  # keep nested --output paths out of the env prefixing
     fmt = args.format
     ext = "csv" if fmt == "csv" else "json"
     manifest = []
@@ -205,8 +185,8 @@ def _cmd_repro(args) -> int:
         code = main(argv + ["--output", str(path), "--format", fmt])
         if code != 0:
             raise SystemExit(f"repro step {name} failed with exit code {code}")
-        written = [path, _switchpoints_path(path)] if "--switchpoints" in argv else [path]
-        manifest.extend({"file": p.name, "argv": argv} for p in written)
+        keys = ["", "_switchpoints"] if "--switchpoints" in argv else [""]
+        manifest.extend({"file": _table_path(path, key).name, "argv": argv} for key in keys)
 
     run("codes_validation", ["codes", "validate", "--distance"])
     for code_name in codes.builtin_names():
@@ -233,7 +213,7 @@ def _cmd_repro(args) -> int:
     import json
 
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    sys.stderr.write(f"wrote {len(manifest)} tables to {outdir}\n")
+    sys.stderr.write(f"wrote {len(manifest)} tables to {outdir.resolve()}\n")
     return 0
 
 

@@ -192,8 +192,8 @@ def validate_code(code: StabilizerCode, check_distance: bool = False) -> CodeVal
     n, k = code.n, code.k
     ops = code.stabilizers + code.logical_x + code.logical_z
 
-    def check(name, bad, detail):
-        checks.append(CheckResult(name, not bad, f"{detail}: {bad}" if bad else ""))
+    def check(name, ok, detail):
+        checks.append(CheckResult(name, ok, "" if ok else detail))
 
     sizes_ok = all(p.n == n for p in ops)
     counts_ok = (
@@ -201,14 +201,8 @@ def validate_code(code: StabilizerCode, check_distance: bool = False) -> CodeVal
         and len(code.logical_x) == k
         and len(code.logical_z) == k
     )
-    checks.append(
-        CheckResult(
-            "shape",
-            sizes_ok and counts_ok,
-            "" if sizes_ok and counts_ok else
-            f"expected {n - k} stabilizers and {k}+{k} logicals on {n} qubits",
-        )
-    )
+    check("shape", sizes_ok and counts_ok,
+          f"expected {n - k} stabilizers and {k}+{k} logicals on {n} qubits")
     if not sizes_ok:
         return CodeValidation(code.name, tuple(checks))
 
@@ -218,17 +212,11 @@ def validate_code(code: StabilizerCode, check_distance: bool = False) -> CodeVal
         for j in range(i + 1, len(code.stabilizers))
         if not commutes_with(code.stabilizers[i], code.stabilizers[j])
     ]
-    check("stabilizers_commute", bad, "anticommuting generator pairs")
+    check("stabilizers_commute", not bad, f"anticommuting generator pairs: {bad}")
 
     rows = [(p.x << n) | p.z for p in code.stabilizers]
     rank = _gf2_rank(rows)
-    checks.append(
-        CheckResult(
-            "generator_independence",
-            rank == n - k,
-            "" if rank == n - k else f"symplectic rank {rank}, expected {n - k}",
-        )
-    )
+    check("generator_independence", rank == n - k, f"symplectic rank {rank}, expected {n - k}")
 
     bad = [
         (li, si)
@@ -236,7 +224,8 @@ def validate_code(code: StabilizerCode, check_distance: bool = False) -> CodeVal
         for si, s in enumerate(code.stabilizers)
         if not commutes_with(lop, s)
     ]
-    check("logicals_commute_with_stabilizers", bad, "anticommuting (logical, stabilizer) pairs")
+    check("logicals_commute_with_stabilizers", not bad,
+          f"anticommuting (logical, stabilizer) pairs: {bad}")
 
     bad = [
         (i, j)
@@ -244,19 +233,13 @@ def validate_code(code: StabilizerCode, check_distance: bool = False) -> CodeVal
         for j in range(len(code.logical_z))
         if commutes_with(code.logical_x[i], code.logical_z[j]) != (i != j)
     ]
-    check("logical_pairing", bad, "wrong X/Z pairing at indices")
+    check("logical_pairing", not bad, f"wrong X/Z pairing at indices: {bad}")
 
     if check_distance and all(c.passed for c in checks):
         from .decoder import code_distance  # deferred: decoder builds on codes
 
         d_actual = code_distance(code)
-        checks.append(
-            CheckResult(
-                "distance",
-                d_actual == code.d,
-                "" if d_actual == code.d else f"computed d={d_actual}, stored d={code.d}",
-            )
-        )
+        check("distance", d_actual == code.d, f"computed d={d_actual}, stored d={code.d}")
 
     return CodeValidation(code.name, tuple(checks))
 

@@ -73,7 +73,7 @@ def _dejmps_trace(f_in, max_rounds: int):
     into (max_rounds + 1, N) tables, one column per grid point."""
     rounds = list(_recurrence("dejmps", _depolarized(f_in), max_rounds))
     # f_in * 0.0: a zero discard shaped like the input
-    return [f_in] + [r[2][0] for r in rounds], [f_in * 0.0] + [r[3] for r in rounds]
+    return [f_in] + [r[1][0] for r in rounds], [f_in * 0.0] + [r[2] for r in rounds]
 
 
 def _first_true(table: np.ndarray):

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .pauli import PauliString, commutes_with
-from .werner import _in_range
+from .werner import _check_count, _in_range
 
 __all__ = [
     "PROTOCOLS",
@@ -120,7 +120,7 @@ def _step(protocol: str, i, x, y, z):
 
 def _recurrence(protocol: str, comps, rounds: int, twirled: bool = False):
     """Iterate :func:`_step` from ``comps`` = (P_I, P_X, P_Y, P_Z), twirling
-    after each round if asked, and yield (raw, p_discard, components,
+    after each round if asked, and yield (p_discard, components,
     p_total_discard, rate) per round; rate n = (1 - P_total_discard) * 0.5**n
     (the float 2.0**n would overflow from n = 1024)."""
     p_total = 0.0
@@ -130,7 +130,7 @@ def _recurrence(protocol: str, comps, rounds: int, twirled: bool = False):
         if twirled:
             comps = _depolarized(comps[0])
         p_total = p_total + (1.0 - p_total) * p_discard
-        yield raw, p_discard, comps, p_total, (1.0 - p_total) * 0.5**n
+        yield p_discard, comps, p_total, (1.0 - p_total) * 0.5**n
 
 
 def purify_step(protocol: str, dist: PauliDistribution) -> PurifyStep:
@@ -185,6 +185,7 @@ def run_rounds(
     every round.  The rate after round i is (1/2^i)(1 - P_total_discard).
     """
     protocol = _check_protocol(protocol)
+    _check_count(rounds, "rounds")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     if (f_in is None) == (dist is None):
@@ -192,7 +193,7 @@ def run_rounds(
     initial = PauliDistribution.from_fidelity(f_in) if dist is None else dist.validate()
     records = tuple(
         RoundRecord(PauliDistribution(*comps), p_discard, p_total, rate)
-        for _, p_discard, comps, p_total, rate in _recurrence(
+        for p_discard, comps, p_total, rate in _recurrence(
             protocol, initial.as_tuple(), rounds, twirled
         )
     )

@@ -158,7 +158,8 @@ def test_criterion_08_convergence_limits():
     assert checks["u_doubling"].passed and checks["q_squaring"].passed
     ref = identity_oracle.check_identities(trace)
     assert ref.u_doubling_max_rel <= 1e-10 and ref.u_doubling_checked >= 9
-    assert checks["u_doubling"].detail.endswith(f" over {ref.u_doubling_checked} steps")
+    steps = len(identity_oracle._finite_prefix(trace.u)) - 1
+    assert checks["u_doubling"].detail.endswith(f" over {steps} steps")
     report(8, f"10 starts converged; u-doubling {checks['u_doubling'].detail}")
 
 

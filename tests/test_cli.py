@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -137,16 +139,28 @@ def test_purify_explicit_distribution_matches_run_rounds(capsys):
     ]
 
 
-def test_repro_matches_golden_digests(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("ENTDIST_GRID_POINTS", raising=False)
-    monkeypatch.delenv("ENTDIST_OUTDIR", raising=False)
-    digests = json.loads(GOLDEN_DIGESTS.read_text())
-    code = main(["repro", "--outdir", str(tmp_path)])
-    capsys.readouterr()
+@pytest.fixture(scope="module")
+def repro_run(tmp_path_factory):
+    """One full ``repro`` into a relative ``--outdir``, under junk values of
+    the environment variables that once set grid sizes and output paths:
+    (exit code, stderr, the directory written)."""
+    cwd = tmp_path_factory.mktemp("repro")
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        mp.setenv("ENTDIST_GRID_POINTS", "x")
+        mp.setenv("ENTDIST_OUTDIR", "junk")
+        mp.chdir(cwd)
+        code = main(["repro", "--outdir", "out"])
+    return code, err.getvalue(), cwd / "out"
+
+
+def test_repro_matches_golden_digests(repro_run):
+    code, _, outdir = repro_run
     assert code == 0
+    digests = json.loads(GOLDEN_DIGESTS.read_text())
     drifted = [
         name for name, digest in digests.items()
-        if hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() != digest
+        if hashlib.sha256((outdir / name).read_bytes()).hexdigest() != digest
     ]
     assert drifted == []
 
@@ -287,7 +301,7 @@ def test_missing_output_directory_fails_cleanly(tmp_path, capsys):
     assert not target.exists()
 
 
-def test_bad_inputs_exit_nonzero(capsys, monkeypatch):
+def test_bad_inputs_exit_nonzero(capsys):
     assert run_cli(capsys, "map", "chain", "--repeaters", "2", "--rounds", "913,923,933")[0] == 2
     assert run_cli(capsys, "map", "chain", "--rounds", "913,923")[0] == 2
     assert run_cli(capsys, "map", "qec", "--code", "999")[0] == 2
@@ -301,8 +315,6 @@ def test_bad_inputs_exit_nonzero(capsys, monkeypatch):
         assert run_cli(capsys, "hybrid", "--grid", "0.96:0.97:2", *flag)[0] == 2
     code, _, err = run_cli(capsys, "converge", "--protocol", "dejmps", "--start", "0.6,0.2,0.1", "--n", "3")
     assert code == 2 and "--start needs exactly 4 components" in err
-    monkeypatch.setenv("ENTDIST_GRID_POINTS", "x")
-    assert run_cli(capsys, "map", "qec", "--code", "913")[0] == 2
 
 
 @pytest.mark.parametrize("spec", ["nan:1:3", "0:nan:3", "-inf:1:3", "0:inf:3"])
@@ -320,20 +332,8 @@ def test_non_finite_input_dist_exits_2(capsys, dist):
     assert out == "" and "error:" in err
 
 
-def test_env_overrides(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ENTDIST_OUTDIR", str(tmp_path))
-    monkeypatch.setenv("ENTDIST_GRID_POINTS", "7")
-    code, _, _ = run_cli(capsys, "map", "qec", "--code", "913", "--output", "rel.csv")
-    assert code == 0
-    text = (tmp_path / "rel.csv").read_text()
-    assert len(text.strip().splitlines()) == 8  # header + 7 grid points
-
-
-def test_repro_writes_manifest(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ENTDIST_GRID_POINTS", "40")
-    outdir = tmp_path / "repro"
-    code = main(["repro", "--outdir", str(outdir)])
-    err = capsys.readouterr().err
+def test_repro_writes_manifest(repro_run):
+    code, err, outdir = repro_run
     assert code == 0
     assert f"wrote 30 tables to {outdir.resolve()}" in err
     manifest = json.loads((outdir / "manifest.json").read_text())

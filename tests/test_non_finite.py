@@ -51,6 +51,7 @@ CALLS = {
     ),
     "purify.PauliDistribution.from_fidelity": lambda x: purify.PauliDistribution.from_fidelity(x),
     "purify.run_rounds(f_in)": lambda x: purify.run_rounds("dejmps", 2, f_in=x),
+    "purify.run_rounds(rounds)": lambda x: purify.run_rounds("dejmps", x, f_in=0.9),
     "purify.run_rounds(dist)": lambda x: purify.run_rounds(
         "dejmps", 2, dist=dist(x, 0.1, 0.1, 0.1)
     ),
@@ -90,7 +91,11 @@ CALLS = {
     ),
     "convergence.iterate(a_0)": lambda x: convergence.iterate("bbpssw", (x, 0.2, 0.1, 0.1), 5),
     "convergence.iterate(d_0)": lambda x: convergence.iterate("dejmps", (0.6, 0.2, 0.1, x), 5),
+    "convergence.iterate(n_max)": lambda x: convergence.iterate("bbpssw", (0.6, 0.2, 0.1, 0.1), x),
 }
+
+# the entries of CALLS whose argument is a count: 2.5 must fail as nan does
+COUNTS = [name for name in CALLS if name.endswith(("(n_swaps)", "(max_rounds)", "(rounds)", "(n_max)"))]
 
 NON_FINITE = st.sampled_from([math.nan, -math.nan, math.inf, -math.inf])
 
@@ -101,3 +106,9 @@ NON_FINITE = st.sampled_from([math.nan, -math.nan, math.inf, -math.inf])
 def test_non_finite_argument_raises_value_error(name, value, as_numpy):
     with pytest.raises(ValueError):
         CALLS[name](np.float64(value) if as_numpy else value)
+
+
+@pytest.mark.parametrize("name", COUNTS)
+def test_fractional_count_raises_value_error(name):
+    with pytest.raises(ValueError):
+        CALLS[name](2.5)
