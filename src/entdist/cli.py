@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -234,6 +235,7 @@ def _add_common(sub):
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+@functools.lru_cache(maxsize=None)  # one parser per process: repro calls main once per step
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entdist",
@@ -273,16 +275,17 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--twirl", dest="twirl", action="store_true", default=None)
     group.add_argument("--no-twirl", dest="twirl", action="store_false")
     p.add_argument("--rounds", type=int, default=3)
-    p.add_argument("--grid", type=_parse_grid)
-    p.add_argument("--input-dist", type=_comma_floats, metavar="PI,PX,PY,PZ",
-                   help="explicit start distribution instead of a fidelity grid")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--grid", type=_parse_grid)
+    group.add_argument("--input-dist", type=_comma_floats, metavar="PI,PX,PY,PZ",
+                       help="explicit start distribution instead of a fidelity grid")
     _add_common(p)
     p.set_defaults(func=_cmd_purify)
 
     p = sub.add_parser("hybrid", help="purify-then-encode scan and refined efficiency")
     p.add_argument("--code", default="933")
     p.add_argument("--grid", type=_parse_grid)
-    p.add_argument("--max-rounds", type=int, default=40)
+    p.add_argument("--max-rounds", type=int, default=hybrid.DEFAULT_MAX_ROUNDS)
     p.add_argument("--baseline-d", type=float, default=hybrid.DEFAULT_BASELINE_D)
     _add_common(p)
     p.set_defaults(func=_cmd_hybrid)

@@ -13,7 +13,8 @@ but eventually grows without bound and (a, d) -> (1, 0).
 (:class:`~entdist.codes.CheckResult`) on the finite prefix of u:
 
     bbpssw  u_doubling         u_n = u_0^(2^n) in log rate:
-                               |log(u_n)/2^n - log(u_0)| <= 1e-13
+                               |log(u_n)/2^n - log(u_0)| <= 1e-13;
+                               fails when u_0 itself is not finite
             q_squaring         |q_{n+1} - q_n^2| <= 1e-12
     dejmps  eventual_increase  some lag m <= 10 with u_{n+m} > u_n throughout
             u_diverges         the last u (finite or not) is above 1e6
@@ -94,15 +95,20 @@ def check_identities(trace: ConvergenceTrace) -> tuple[CheckResult, ...]:
     stating in its detail what it measured (see the module docstring)."""
     u = trace.u[np.logical_and.accumulate(np.isfinite(trace.u))]
     if trace.protocol == "bbpssw":
-        # dividing by 2^n undoes the 2^n growth of a rounding error in u_0,
-        # which a relative test against u_0^(2^n) reads as a failure
-        max_err = np.abs(np.log(u) * 0.5 ** np.arange(len(u)) - math.log(u[0])).max()
+        if len(u):
+            # dividing by 2^n undoes the 2^n growth of a rounding error in u_0,
+            # which a relative test against u_0^(2^n) reads as a failure
+            max_err = np.abs(np.log(u) * 0.5 ** np.arange(len(u)) - math.log(u[0])).max()
+            doubling = CheckResult("u_doubling", bool(max_err <= 1e-13),
+                                   f"max |log(u_n)/2^n - log(u_0)| = {max_err:.2g} "
+                                   f"over {len(u) - 1} steps")
+        else:
+            doubling = CheckResult("u_doubling", False, "u_0 is not finite: 0 steps checked")
         q = trace.q[: len(u)]
         res = np.abs(q[1:] - q[:-1] ** 2)
         max_res = res[np.isfinite(res)].max(initial=0.0)
         return (
-            CheckResult("u_doubling", bool(max_err <= 1e-13),
-                        f"max |log(u_n)/2^n - log(u_0)| = {max_err:.2g} over {len(u) - 1} steps"),
+            doubling,
             CheckResult("q_squaring", bool(max_res <= 1e-12),
                         f"max |q_(n+1) - q_n^2| = {max_res:.2g} over {res.size} steps"),
         )

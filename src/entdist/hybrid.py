@@ -28,12 +28,12 @@ import numpy as np
 from .codes import builtin_code
 from .decoder import LogicalFidelityPolynomial, builtin_polynomial, eval_qec_map
 from .purify import _depolarized, _recurrence
-from .werner import _bisect, _check_count, distillable_entanglement
+from .werner import _bisect, _check_count, _in_range, distillable_entanglement
 
 __all__ = [
     "DEFAULT_BASELINE_D",
+    "DEFAULT_MAX_ROUNDS",
     "HybridResult",
-    "StrategyResult",
     "ScanPoint",
     "pseudo_threshold",
     "builtin_threshold",
@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 DEFAULT_BASELINE_D = 0.12
+DEFAULT_MAX_ROUNDS = 40
 
 
 def pseudo_threshold(poly: LogicalFidelityPolynomial) -> float:
@@ -87,17 +88,29 @@ def _first_at_least(values, bar) -> int | None:
     return next((i for i, v in enumerate(values) if v >= bar), None)
 
 
-def _check_scan_args(max_rounds: int, min_d: float) -> None:
+def _check_args(max_rounds: int, min_d: float = DEFAULT_BASELINE_D) -> None:
     _check_count(max_rounds, "max_rounds")
     if not 0.0 < min_d <= 1.0:  # negated, so that NaN fails it too
         raise ValueError(f"baseline distillable entanglement must lie in (0, 1], got {min_d}")
 
 
-def min_rounds_to_fidelity(f_in: float, target: float, *, max_rounds: int = 40) -> int | None:
+def _unreachable(what: str, f, max_rounds: int) -> ValueError:
+    return ValueError(f"{what} not reachable from F={f} in {max_rounds} rounds; raise max_rounds")
+
+
+def _refined(output_ratio, f_out, d_base, p_total_discard):
+    """The refined efficiency of the module docstring, on floats or arrays."""
+    value = output_ratio * distillable_entanglement(f_out) / d_base * (1.0 - p_total_discard)
+    return np.maximum(value, 0.0)
+
+
+def min_rounds_to_fidelity(
+    f_in: float, target: float, *, max_rounds: int = DEFAULT_MAX_ROUNDS
+) -> int | None:
     """Smallest number of DEJMPS (no twirl) rounds from a depolarizing
     start whose fidelity reaches the target; None if not reached within
     ``max_rounds`` (F_in <= 0.5 is pinned at the 0.5 fixed point)."""
-    _check_count(max_rounds, "max_rounds")
+    _check_args(max_rounds)
     if not 0.0 < f_in <= 1.0:
         raise ValueError("input fidelity must lie in (0, 1]")
     if not 0.5 < target < 1.0:
@@ -126,13 +139,10 @@ class HybridResult:
 
 
 def hybrid_run(
-    f_in: float,
-    code_name: str = "933",
-    *,
-    max_rounds: int = 40,
+    f_in: float, code_name: str = "933", *, max_rounds: int = DEFAULT_MAX_ROUNDS
 ) -> HybridResult:
     """DEJMPS to the code's pseudo-threshold, Werner twirl, one QEC round."""
-    _check_count(max_rounds, "max_rounds")
+    _check_args(max_rounds)
     if not 0.0 <= f_in <= 1.0:
         raise ValueError("fidelity must lie in [0, 1]")
     code = builtin_code(code_name)
@@ -141,9 +151,7 @@ def hybrid_run(
     fids, discards = _dejmps_trace(f_in, max_rounds)
     i_pre = _first_at_least(fids, threshold)
     if i_pre is None:
-        raise ValueError(
-            f"threshold {threshold:.6f} not reachable from F={f_in} in {max_rounds} rounds"
-        )
+        raise _unreachable(f"threshold {threshold:.6f}", f_in, max_rounds)
     # the Werner twirl keeps the fidelity, which is all the QEC map reads
     f_out = eval_qec_map(poly, fids[i_pre])
     p_total = discards[i_pre]
@@ -153,57 +161,32 @@ def hybrid_run(
 
 
 def baseline_distillable(
-    f_in: float,
-    *,
-    min_d: float = DEFAULT_BASELINE_D,
-    max_rounds: int = 40,
+    f_in: float, *, min_d: float = DEFAULT_BASELINE_D, max_rounds: int = DEFAULT_MAX_ROUNDS
 ) -> tuple[float, int]:
     """Denominator for the refined efficiency: D after the minimum number
     of DEJMPS rounds lifting it to at least ``min_d`` (zero rounds when
     already there).  Returns (D, rounds used)."""
-    _check_scan_args(max_rounds, min_d)
+    _check_args(max_rounds, min_d)
     d0 = distillable_entanglement(f_in)
     if d0 >= min_d:
         return d0, 0
     ds = distillable_entanglement(_dejmps_trace(f_in, max_rounds)[0]).tolist()
     i = _first_at_least(ds, min_d)
-    if i is not None:
-        return ds[i], i
-    raise ValueError(
-        f"distillable entanglement {min_d} not reachable from F={f_in} in {max_rounds} rounds"
-    )
-
-
-@dataclass(frozen=True)
-class StrategyResult:
-    """What the refined metric needs to score a strategy."""
-
-    label: str
-    f_in: float
-    f_out: float
-    output_ratio: float  # n_out / n_in
-    p_total_discard: float
+    if i is None:
+        raise _unreachable(f"distillable entanglement {min_d}", f_in, max_rounds)
+    return ds[i], i
 
 
 def refined_efficiency(
-    result: StrategyResult,
-    *,
-    baseline_min_d: float = DEFAULT_BASELINE_D,
-    max_rounds: int = 40,
+    f_in: float, f_out: float, output_ratio: float, p_total_discard: float, *,
+    baseline_min_d: float = DEFAULT_BASELINE_D, max_rounds: int = DEFAULT_MAX_ROUNDS,
 ) -> float:
-    if not (0.0 <= result.output_ratio <= 1.0 and 0.0 <= result.p_total_discard <= 1.0):
-        raise ValueError(
-            "output_ratio and p_total_discard must lie in [0, 1], "
-            f"got {result.output_ratio} and {result.p_total_discard}"
-        )
-    d_base, _ = baseline_distillable(result.f_in, min_d=baseline_min_d, max_rounds=max_rounds)
-    value = (
-        result.output_ratio
-        * distillable_entanglement(result.f_out)
-        / d_base
-        * (1.0 - result.p_total_discard)
-    )
-    return max(value, 0.0)
+    """E of a strategy taking fidelity ``f_in`` to ``f_out`` with n_out/n_in
+    = ``output_ratio`` and total discard probability ``p_total_discard``."""
+    _in_range(output_ratio, what="output_ratio")
+    _in_range(p_total_discard, what="p_total_discard")
+    d_base, _ = baseline_distillable(f_in, min_d=baseline_min_d, max_rounds=max_rounds)
+    return float(_refined(output_ratio, f_out, d_base, p_total_discard))
 
 
 @dataclass(frozen=True)
@@ -228,11 +211,8 @@ def default_scan_grid(points: int = 10000) -> np.ndarray:
 
 
 def checkpoint_scan(
-    code_name: str = "933",
-    grid=None,
-    *,
-    max_rounds: int = 40,
-    baseline_min_d: float = DEFAULT_BASELINE_D,
+    code_name: str = "933", grid=None, *,
+    max_rounds: int = DEFAULT_MAX_ROUNDS, baseline_min_d: float = DEFAULT_BASELINE_D,
 ) -> list[ScanPoint]:
     """Evaluate hybrid vs matching pure DEJMPS across an input grid, as
     array ops on one (max_rounds + 1, N) DEJMPS trace table: i_pre, i_match
@@ -242,7 +222,7 @@ def checkpoint_scan(
     Jumps in i_pre / i_match across the grid are the checkpoints; they
     crowd together near F = 0.5 where each round gains little.
     """
-    _check_scan_args(max_rounds, baseline_min_d)
+    _check_args(max_rounds, baseline_min_d)
     if grid is None:
         grid = default_scan_grid()
     grid = np.asarray(grid, dtype=float)
@@ -257,39 +237,27 @@ def checkpoint_scan(
 
     i_pre, reached = _first_true(fids >= threshold)
     if not reached.all():
-        bad = grid[~reached][0]
-        raise ValueError(
-            f"threshold not reachable from F={bad} in {max_rounds} rounds; raise max_rounds"
-        )
+        raise _unreachable(f"threshold {threshold:.6f}", grid[~reached][0], max_rounds)
     d_table = distillable_entanglement(fids)
     i_base, reached = _first_true(d_table >= baseline_min_d)
     if not reached.all():
-        bad = grid[~reached][0]
-        raise ValueError(
-            f"distillable entanglement {baseline_min_d} not reachable from F={bad} "
-            f"in {max_rounds} rounds"
-        )
+        what = f"distillable entanglement {baseline_min_d}"
+        raise _unreachable(what, grid[~reached][0], max_rounds)
     d_base = d_table[i_base, cols]
 
     f_hybrid = eval_qec_map(poly, fids[i_pre, cols])
     ratio_hybrid = code.k / (2.0**i_pre * code.n)
-    survival = 1.0 - discards[i_pre, cols]
-    rate_hybrid = ratio_hybrid * survival
-    eff_hybrid = np.maximum(
-        ratio_hybrid * distillable_entanglement(f_hybrid) / d_base * survival, 0.0
-    )
+    p_hybrid = discards[i_pre, cols]
+    rate_hybrid = ratio_hybrid * (1.0 - p_hybrid)
+    eff_hybrid = _refined(ratio_hybrid, f_hybrid, d_base, p_hybrid)
 
     i_match, matched = _first_true(fids >= f_hybrid)
     # unmatched points report the last round and score zero
     i_dejmps = np.where(matched, i_match, len(fids) - 1)
     f_dejmps = fids[i_dejmps, cols]
-    survival = 1.0 - discards[i_dejmps, cols]
-    rate_dejmps = survival / 2.0**i_dejmps
-    eff_dejmps = np.where(
-        matched,
-        np.maximum(1.0 / 2.0**i_dejmps * d_table[i_dejmps, cols] / d_base * survival, 0.0),
-        0.0,
-    )
+    p_dejmps = discards[i_dejmps, cols]
+    rate_dejmps = (1.0 - p_dejmps) / 2.0**i_dejmps
+    eff_dejmps = np.where(matched, _refined(1.0 / 2.0**i_dejmps, f_dejmps, d_base, p_dejmps), 0.0)
     winner = np.where(eff_hybrid > eff_dejmps, "hybrid", "dejmps")
     i_match = [i if m else None for i, m in zip(i_match.tolist(), matched.tolist())]
     return [

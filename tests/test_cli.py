@@ -233,6 +233,16 @@ def test_converge_names_the_failed_check(capsys, fmt):
     assert "Report(" not in err and "np." not in err
 
 
+def test_converge_u0_overflow_writes_checks_and_exits_1(capsys):
+    code, out, err = run_cli(
+        capsys, "converge", "--protocol", "bbpssw",
+        "--start", "0.9999999,5e-324,5e-324,0.0000001", "--n", "5",
+    )
+    assert code == 1
+    assert len(csv_rows(out)[1]) == 6
+    assert csv_rows(err)[1][0] == ["u_doubling", "fail", "u_0 is not finite: 0 steps checked"]
+
+
 def test_converge_json_is_strict_json(capsys):
     code, out, _ = run_cli(
         capsys, "converge", "--protocol", "dejmps",
@@ -311,6 +321,9 @@ def test_bad_inputs_exit_nonzero(capsys):
         main(["purify", "--protocol", "unknown"])
     assert run_cli(capsys, "purify", "--protocol", "dejmps", "--rounds", "0")[0] == 2
     assert run_cli(capsys, "purify", "--protocol", "dejmps", "--grid", "0.5:1.5:3")[0] == 2
+    with pytest.raises(SystemExit) as exc:  # one start: a grid or a distribution
+        main(["purify", "--protocol", "dejmps", "--grid", "0.6:0.9:3", "--input-dist", "1,0,0,0"])
+    assert exc.value.code == 2
     for flag in (("--max-rounds", "-1"), ("--baseline-d", "-0.1"), ("--baseline-d", "nan")):
         assert run_cli(capsys, "hybrid", "--grid", "0.96:0.97:2", *flag)[0] == 2
     code, _, err = run_cli(capsys, "converge", "--protocol", "dejmps", "--start", "0.6,0.2,0.1", "--n", "3")

@@ -102,6 +102,16 @@ def test_bbpssw_u_doubling_fails_on_perturbed_trace():
         assert not checks_by_name(dataclasses.replace(trace, u=u))["u_doubling"].passed
 
 
+def test_bbpssw_u_doubling_fails_when_u0_overflows():
+    # b_0 = c_0 = 5e-324 meet the hypotheses, but u_0 = s/t overflows to inf,
+    # so the finite prefix of u is empty
+    trace = iterate("bbpssw", (0.9999999, 5e-324, 5e-324, 1e-7), 5)
+    assert math.isinf(trace.u[0])
+    doubling = checks_by_name(trace)["u_doubling"]
+    assert not doubling.passed
+    assert doubling.detail == "u_0 is not finite: 0 steps checked"
+
+
 def test_bbpssw_q_monotone_to_zero():
     for start in STARTS[:5]:
         trace = iterate("bbpssw", start, 40)

@@ -6,7 +6,6 @@ import pytest
 from entdist.codes import builtin_code
 from entdist.decoder import LogicalFidelityPolynomial, builtin_polynomial, eval_qec_map
 from entdist.hybrid import (
-    StrategyResult,
     baseline_distillable,
     builtin_threshold,
     checkpoint_scan,
@@ -113,6 +112,18 @@ def test_hybrid_unreachable_raises():
         hybrid_run(0.45, "933")
 
 
+def test_scalar_and_scan_unreachable_messages_agree():
+    with pytest.raises(ValueError) as scalar:
+        hybrid_run(0.6, max_rounds=0)
+    with pytest.raises(ValueError) as scan:
+        checkpoint_scan("933", [0.6], max_rounds=0)
+    assert str(scalar.value) == str(scan.value)
+    assert str(scan.value) == (
+        f"threshold {builtin_threshold('933'):.6f} not reachable from F=0.6 in 0 rounds; "
+        "raise max_rounds"
+    )
+
+
 def test_hybrid_rate_is_product_of_factors():
     from entdist.purify import run_rounds
 
@@ -138,14 +149,14 @@ def test_baseline_distillable():
 
 def test_refined_efficiency_clamps_and_normalizes():
     # output below the hashing threshold scores zero
-    assert refined_efficiency(StrategyResult("x", 0.9, 0.7, 1.0, 0.0)) == 0.0
+    assert refined_efficiency(0.9, 0.7, 1.0, 0.0) == 0.0
     # identity strategy with no discard scores one
-    assert refined_efficiency(StrategyResult("x", 0.9, 0.9, 1.0, 0.0)) == pytest.approx(1.0)
+    assert refined_efficiency(0.9, 0.9, 1.0, 0.0) == pytest.approx(1.0)
     # discard scales linearly
-    assert refined_efficiency(StrategyResult("x", 0.9, 0.9, 1.0, 0.25)) == pytest.approx(0.75)
+    assert refined_efficiency(0.9, 0.9, 1.0, 0.25) == pytest.approx(0.75)
     for ratio, discard in ((1.5, 0.0), (-0.5, 0.0), (1.0, -0.1), (1.0, 1.1)):
         with pytest.raises(ValueError, match="must lie in"):
-            refined_efficiency(StrategyResult("x", 0.9, 0.9, ratio, discard))
+            refined_efficiency(0.9, 0.9, ratio, discard)
 
 
 def test_scan_grid_validation():
@@ -199,10 +210,10 @@ def test_scan_equals_scalar_strategy_functions(grid, max_rounds):
         assert (p.i_pre, p.i_match, p.f_out_hybrid, p.rate_hybrid) == (
             res.i_pre, res.i_match, res.f_out, res.rate
         )
-        hybrid_sr = StrategyResult(
-            "hybrid", p.f_in, res.f_out, code.k / (2.0**res.i_pre * code.n), res.p_total_discard
+        ratio = code.k / (2.0**res.i_pre * code.n)
+        assert p.eff_hybrid == refined_efficiency(
+            p.f_in, res.f_out, ratio, res.p_total_discard, max_rounds=max_rounds
         )
-        assert p.eff_hybrid == refined_efficiency(hybrid_sr, max_rounds=max_rounds)
         trace = run_rounds("dejmps", max_rounds, f_in=p.f_in)
         i = max_rounds if p.i_match is None else p.i_match
         record = trace.rounds[i - 1]
@@ -210,10 +221,10 @@ def test_scan_equals_scalar_strategy_functions(grid, max_rounds):
         if p.i_match is None:
             assert p.eff_dejmps == 0.0
         else:
-            dejmps_sr = StrategyResult(
-                "dejmps", p.f_in, record.dist.fidelity, 1.0 / 2.0**i, record.p_total_discard
+            assert p.eff_dejmps == refined_efficiency(
+                p.f_in, record.dist.fidelity, 1.0 / 2.0**i, record.p_total_discard,
+                max_rounds=max_rounds,
             )
-            assert p.eff_dejmps == refined_efficiency(dejmps_sr, max_rounds=max_rounds)
         d_base, rounds = baseline_distillable(p.f_in, max_rounds=max_rounds)
         assert d_base == distillable_entanglement(trace.fidelity_after(rounds))
     assert any(p.i_match is None for p in scan) == (max_rounds == 3)

@@ -23,8 +23,8 @@ def dist(*components):
     return purify.PauliDistribution(*components)
 
 
-def strategy(f_in=0.95, f_out=0.97, output_ratio=0.5, p_total_discard=0.1):
-    return hybrid.StrategyResult("s", f_in, f_out, output_ratio, p_total_discard)
+def refined(f_in=0.95, f_out=0.97, output_ratio=0.5, p_total_discard=0.1, **kwargs):
+    return hybrid.refined_efficiency(f_in, f_out, output_ratio, p_total_discard, **kwargs)
 
 
 CALLS = {
@@ -71,17 +71,11 @@ CALLS = {
     "hybrid.baseline_distillable(max_rounds)": lambda x: hybrid.baseline_distillable(
         0.9, max_rounds=x
     ),
-    "hybrid.refined_efficiency(f_in)": lambda x: hybrid.refined_efficiency(strategy(f_in=x)),
-    "hybrid.refined_efficiency(f_out)": lambda x: hybrid.refined_efficiency(strategy(f_out=x)),
-    "hybrid.refined_efficiency(output_ratio)": lambda x: hybrid.refined_efficiency(
-        strategy(output_ratio=x)
-    ),
-    "hybrid.refined_efficiency(p_total_discard)": lambda x: hybrid.refined_efficiency(
-        strategy(p_total_discard=x)
-    ),
-    "hybrid.refined_efficiency(baseline_min_d)": lambda x: hybrid.refined_efficiency(
-        strategy(), baseline_min_d=x
-    ),
+    "hybrid.refined_efficiency(f_in)": lambda x: refined(f_in=x),
+    "hybrid.refined_efficiency(f_out)": lambda x: refined(f_out=x),
+    "hybrid.refined_efficiency(output_ratio)": lambda x: refined(output_ratio=x),
+    "hybrid.refined_efficiency(p_total_discard)": lambda x: refined(p_total_discard=x),
+    "hybrid.refined_efficiency(baseline_min_d)": lambda x: refined(baseline_min_d=x),
     "hybrid.checkpoint_scan(grid)": lambda x: hybrid.checkpoint_scan("933", np.array([0.9, x])),
     "hybrid.checkpoint_scan(baseline_min_d)": lambda x: hybrid.checkpoint_scan(
         "933", np.array([0.9]), baseline_min_d=x
