@@ -24,7 +24,7 @@ from math import lcm
 
 from .codes import builtin_code
 from .decoder import builtin_polynomial, eval_qec_map
-from .werner import swap_fidelity_uniform
+from .werner import _check_count, swap_fidelity_uniform
 
 __all__ = [
     "SKIP",
@@ -48,7 +48,8 @@ class ChainPlan:
     rounds: tuple[str | None, str | None, str | None]
 
     def __post_init__(self):
-        if self.n_repeaters < 0 or (self.n_repeaters % 2 == 0 and self.n_repeaters != 0):
+        _check_count(self.n_repeaters, "repeater count")
+        if self.n_repeaters % 2 == 0 and self.n_repeaters != 0:
             raise ValueError(
                 f"repeater count must be 0 or odd, got {self.n_repeaters}"
             )

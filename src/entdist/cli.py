@@ -90,17 +90,19 @@ def _cmd_codes(args) -> int:
     return 0 if all(check.passed for _, check in checked) else 1
 
 
-def _cmd_map(args) -> int:
-    if args.target == "qec":
-        poly = decoder.builtin_polynomial(args.code)
-        if args.counts:
-            _write(args, {"": {"weight": range(len(poly.counts)), "count": list(poly.counts)}})
-            return 0
+def _cmd_map_qec(args) -> int:
+    poly = decoder.builtin_polynomial(args.code)
+    if args.counts:
+        table = {"weight": range(len(poly.counts)), "count": list(poly.counts)}
     else:
-        plan = chain.ChainPlan(args.repeaters, chain.parse_rounds(args.rounds))
-    grid = args.grid if args.grid is not None else np.linspace(0.0, 1.0, 1000)
-    f_out = decoder.eval_qec_map(poly, grid) if args.target == "qec" else chain.run_chain(plan, grid)
-    _write(args, {"": {"f_in": grid, "f_out": f_out}})
+        table = {"f_in": args.grid, "f_out": decoder.eval_qec_map(poly, args.grid)}
+    _write(args, {"": table})
+    return 0
+
+
+def _cmd_map_chain(args) -> int:
+    plan = chain.ChainPlan(args.repeaters, chain.parse_rounds(args.rounds))
+    _write(args, {"": {"f_in": args.grid, "f_out": chain.run_chain(plan, args.grid)}})
     return 0
 
 
@@ -152,9 +154,7 @@ def _cmd_purify(args) -> int:
 
 def _cmd_hybrid(args) -> int:
     grid = args.grid if args.grid is not None else hybrid.default_scan_grid()
-    scan = hybrid.checkpoint_scan(
-        args.code, grid, max_rounds=args.max_rounds, baseline_min_d=args.baseline_d
-    )
+    scan = hybrid.checkpoint_scan(args.code, grid)
     # ScanPoint fields in column order; the efficiencies are written E_*
     fields = [f.name for f in dataclasses.fields(hybrid.ScanPoint)]
     table = {name.replace("eff_", "E_"): [getattr(p, name) for p in scan] for name in fields}
@@ -251,14 +251,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_codes)
 
     p = sub.add_parser("map", help="single-code or full-chain fidelity maps")
-    p.add_argument("target", choices=("qec", "chain"))
-    p.add_argument("--code", default="933", help="code name for 'qec'")
-    p.add_argument("--counts", action="store_true", help="emit (weight, count) rows instead of the map")
-    p.add_argument("--repeaters", type=int, default=1, help="repeater count for 'chain'")
-    p.add_argument("--rounds", default="913,923,933", help="3 comma-separated code names or 'skip'")
-    p.add_argument("--grid", type=_parse_grid, help="fidelity grid min:max:points")
-    _add_common(p)
-    p.set_defaults(func=_cmd_map)
+    maps = p.add_subparsers(dest="target", required=True)
+    qec = maps.add_parser("qec", help="one QEC round's fidelity map")
+    qec.add_argument("--code", default="933")
+    qec.add_argument("--counts", action="store_true", help="emit (weight, count) rows instead of the map")
+    full_chain = maps.add_parser("chain", help="a whole repeater chain's fidelity map")
+    full_chain.add_argument("--repeaters", type=int, default=1)
+    full_chain.add_argument("--rounds", default="913,923,933", help="3 comma-separated code names or 'skip'")
+    for p, func in ((qec, _cmd_map_qec), (full_chain, _cmd_map_chain)):
+        p.add_argument("--grid", type=_parse_grid, default="0:1:1000", help="fidelity grid min:max:points")
+        _add_common(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("efficiency", help="protocol efficiency curves, envelope, switching points")
     p.add_argument("--repeaters", type=int, default=1)
@@ -285,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hybrid", help="purify-then-encode scan and refined efficiency")
     p.add_argument("--code", default="933")
     p.add_argument("--grid", type=_parse_grid)
-    p.add_argument("--max-rounds", type=int, default=hybrid.DEFAULT_MAX_ROUNDS)
-    p.add_argument("--baseline-d", type=float, default=hybrid.DEFAULT_BASELINE_D)
     _add_common(p)
     p.set_defaults(func=_cmd_hybrid)
 

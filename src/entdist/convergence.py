@@ -10,12 +10,14 @@ used in the convergence analysis:
 For BBPSSW (a, d) -> (1/2, 1/2); for DEJMPS u need not improve every step
 but eventually grows without bound and (a, d) -> (1, 0).
 :func:`check_identities` returns these as named checks
-(:class:`~entdist.codes.CheckResult`) on the finite prefix of u:
+(:class:`~entdist.codes.CheckResult`), each on the finite prefix of the
+sequence it reads:
 
     bbpssw  u_doubling         u_n = u_0^(2^n) in log rate:
                                |log(u_n)/2^n - log(u_0)| <= 1e-13;
                                fails when u_0 itself is not finite
-            q_squaring         |q_{n+1} - q_n^2| <= 1e-12
+            q_squaring         |q_{n+1} - q_n^2| <= 1e-12, over the finite
+                               prefix of q (not of u)
     dejmps  eventual_increase  some lag m <= 10 with u_{n+m} > u_n throughout
             u_diverges         the last u (finite or not) is above 1e6
 
@@ -91,8 +93,8 @@ def iterate(protocol: str, start, n_max: int) -> ConvergenceTrace:
 
 
 def check_identities(trace: ConvergenceTrace) -> tuple[CheckResult, ...]:
-    """The protocol's two identity checks on the finite prefix of u, each
-    stating in its detail what it measured (see the module docstring)."""
+    """The protocol's two identity checks, each stating in its detail what
+    it measured (see the module docstring)."""
     u = trace.u[np.logical_and.accumulate(np.isfinite(trace.u))]
     if trace.protocol == "bbpssw":
         if len(u):
@@ -104,9 +106,9 @@ def check_identities(trace: ConvergenceTrace) -> tuple[CheckResult, ...]:
                                    f"over {len(u) - 1} steps")
         else:
             doubling = CheckResult("u_doubling", False, "u_0 is not finite: 0 steps checked")
-        q = trace.q[: len(u)]
+        q = trace.q[np.logical_and.accumulate(np.isfinite(trace.q))]
         res = np.abs(q[1:] - q[:-1] ** 2)
-        max_res = res[np.isfinite(res)].max(initial=0.0)
+        max_res = res.max(initial=0.0)
         return (
             doubling,
             CheckResult("q_squaring", bool(max_res <= 1e-12),

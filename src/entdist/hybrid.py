@@ -28,11 +28,11 @@ import numpy as np
 from .codes import builtin_code
 from .decoder import LogicalFidelityPolynomial, builtin_polynomial, eval_qec_map
 from .purify import _depolarized, _recurrence
-from .werner import _bisect, _check_count, _in_range, distillable_entanglement
+from .werner import _bisect, _in_range, distillable_entanglement
 
 __all__ = [
-    "DEFAULT_BASELINE_D",
-    "DEFAULT_MAX_ROUNDS",
+    "BASELINE_D",
+    "MAX_ROUNDS",
     "HybridResult",
     "ScanPoint",
     "pseudo_threshold",
@@ -45,8 +45,8 @@ __all__ = [
     "default_scan_grid",
 ]
 
-DEFAULT_BASELINE_D = 0.12
-DEFAULT_MAX_ROUNDS = 40
+BASELINE_D = 0.12
+MAX_ROUNDS = 40  # every round search stops here; from F >= 0.501 DEJMPS hits 1.0 by round 25
 
 
 def pseudo_threshold(poly: LogicalFidelityPolynomial) -> float:
@@ -67,12 +67,12 @@ def builtin_threshold(code_name: str) -> float:
     return pseudo_threshold(builtin_polynomial(code_name))
 
 
-def _dejmps_trace(f_in, max_rounds: int):
+def _dejmps_trace(f_in):
     """Fidelities and cumulative discards of DEJMPS (no twirl) from a
     depolarizing start, index i = after i rounds.  A float ``f_in`` gives
     two lists of floats; a 1-D grid gives two lists of arrays, which stack
-    into (max_rounds + 1, N) tables, one column per grid point."""
-    rounds = list(_recurrence("dejmps", _depolarized(f_in), max_rounds))
+    into (MAX_ROUNDS + 1, N) tables, one column per grid point."""
+    rounds = list(_recurrence("dejmps", _depolarized(f_in), MAX_ROUNDS))
     # f_in * 0.0: a zero discard shaped like the input
     return [f_in] + [r[1][0] for r in rounds], [f_in * 0.0] + [r[2] for r in rounds]
 
@@ -88,14 +88,8 @@ def _first_at_least(values, bar) -> int | None:
     return next((i for i, v in enumerate(values) if v >= bar), None)
 
 
-def _check_args(max_rounds: int, min_d: float = DEFAULT_BASELINE_D) -> None:
-    _check_count(max_rounds, "max_rounds")
-    if not 0.0 < min_d <= 1.0:  # negated, so that NaN fails it too
-        raise ValueError(f"baseline distillable entanglement must lie in (0, 1], got {min_d}")
-
-
-def _unreachable(what: str, f, max_rounds: int) -> ValueError:
-    return ValueError(f"{what} not reachable from F={f} in {max_rounds} rounds; raise max_rounds")
+def _unreachable(what: str, f) -> ValueError:
+    return ValueError(f"{what} not reachable from F={f} in {MAX_ROUNDS} rounds")
 
 
 def _refined(output_ratio, f_out, d_base, p_total_discard):
@@ -104,13 +98,10 @@ def _refined(output_ratio, f_out, d_base, p_total_discard):
     return np.maximum(value, 0.0)
 
 
-def min_rounds_to_fidelity(
-    f_in: float, target: float, *, max_rounds: int = DEFAULT_MAX_ROUNDS
-) -> int | None:
+def min_rounds_to_fidelity(f_in: float, target: float) -> int | None:
     """Smallest number of DEJMPS (no twirl) rounds from a depolarizing
     start whose fidelity reaches the target; None if not reached within
-    ``max_rounds`` (F_in <= 0.5 is pinned at the 0.5 fixed point)."""
-    _check_args(max_rounds)
+    ``MAX_ROUNDS`` (F_in <= 0.5 is pinned at the 0.5 fixed point)."""
     if not 0.0 < f_in <= 1.0:
         raise ValueError("input fidelity must lie in (0, 1]")
     if not 0.5 < target < 1.0:
@@ -119,7 +110,7 @@ def min_rounds_to_fidelity(
         return 0
     if f_in <= 0.5:
         return None
-    return _first_at_least(_dejmps_trace(f_in, max_rounds)[0], target)
+    return _first_at_least(_dejmps_trace(f_in)[0], target)
 
 
 @dataclass(frozen=True)
@@ -138,20 +129,17 @@ class HybridResult:
     i_match: int | None
 
 
-def hybrid_run(
-    f_in: float, code_name: str = "933", *, max_rounds: int = DEFAULT_MAX_ROUNDS
-) -> HybridResult:
+def hybrid_run(f_in: float, code_name: str = "933") -> HybridResult:
     """DEJMPS to the code's pseudo-threshold, Werner twirl, one QEC round."""
-    _check_args(max_rounds)
     if not 0.0 <= f_in <= 1.0:
         raise ValueError("fidelity must lie in [0, 1]")
     code = builtin_code(code_name)
     poly = builtin_polynomial(code_name)
     threshold = builtin_threshold(code_name)
-    fids, discards = _dejmps_trace(f_in, max_rounds)
+    fids, discards = _dejmps_trace(f_in)
     i_pre = _first_at_least(fids, threshold)
     if i_pre is None:
-        raise _unreachable(f"threshold {threshold:.6f}", f_in, max_rounds)
+        raise _unreachable(f"threshold {threshold:.6f}", f_in)
     # the Werner twirl keeps the fidelity, which is all the QEC map reads
     f_out = eval_qec_map(poly, fids[i_pre])
     p_total = discards[i_pre]
@@ -160,32 +148,28 @@ def hybrid_run(
     return HybridResult(f_in, code.name, i_pre, fids[i_pre], f_out, rate, p_total, i_match)
 
 
-def baseline_distillable(
-    f_in: float, *, min_d: float = DEFAULT_BASELINE_D, max_rounds: int = DEFAULT_MAX_ROUNDS
-) -> tuple[float, int]:
+def baseline_distillable(f_in: float) -> tuple[float, int]:
     """Denominator for the refined efficiency: D after the minimum number
-    of DEJMPS rounds lifting it to at least ``min_d`` (zero rounds when
-    already there).  Returns (D, rounds used)."""
-    _check_args(max_rounds, min_d)
+    of DEJMPS rounds lifting it to at least ``BASELINE_D`` (zero rounds
+    when already there).  Returns (D, rounds used)."""
     d0 = distillable_entanglement(f_in)
-    if d0 >= min_d:
+    if d0 >= BASELINE_D:
         return d0, 0
-    ds = distillable_entanglement(_dejmps_trace(f_in, max_rounds)[0]).tolist()
-    i = _first_at_least(ds, min_d)
+    ds = distillable_entanglement(_dejmps_trace(f_in)[0]).tolist()
+    i = _first_at_least(ds, BASELINE_D)
     if i is None:
-        raise _unreachable(f"distillable entanglement {min_d}", f_in, max_rounds)
+        raise _unreachable(f"distillable entanglement {BASELINE_D}", f_in)
     return ds[i], i
 
 
 def refined_efficiency(
-    f_in: float, f_out: float, output_ratio: float, p_total_discard: float, *,
-    baseline_min_d: float = DEFAULT_BASELINE_D, max_rounds: int = DEFAULT_MAX_ROUNDS,
+    f_in: float, f_out: float, output_ratio: float, p_total_discard: float
 ) -> float:
     """E of a strategy taking fidelity ``f_in`` to ``f_out`` with n_out/n_in
     = ``output_ratio`` and total discard probability ``p_total_discard``."""
     _in_range(output_ratio, what="output_ratio")
     _in_range(p_total_discard, what="p_total_discard")
-    d_base, _ = baseline_distillable(f_in, min_d=baseline_min_d, max_rounds=max_rounds)
+    d_base, _ = baseline_distillable(f_in)
     return float(_refined(output_ratio, f_out, d_base, p_total_discard))
 
 
@@ -210,19 +194,15 @@ def default_scan_grid(points: int = 10000) -> np.ndarray:
     return np.linspace(0.501, 1.0, points, endpoint=False)
 
 
-def checkpoint_scan(
-    code_name: str = "933", grid=None, *,
-    max_rounds: int = DEFAULT_MAX_ROUNDS, baseline_min_d: float = DEFAULT_BASELINE_D,
-) -> list[ScanPoint]:
+def checkpoint_scan(code_name: str = "933", grid=None) -> list[ScanPoint]:
     """Evaluate hybrid vs matching pure DEJMPS across an input grid, as
-    array ops on one (max_rounds + 1, N) DEJMPS trace table: i_pre, i_match
+    array ops on one (MAX_ROUNDS + 1, N) DEJMPS trace table: i_pre, i_match
     and the baseline round are first rows meeting a bar.  Each point equals
     :func:`hybrid_run` and :func:`refined_efficiency` on it, bit for bit.
 
     Jumps in i_pre / i_match across the grid are the checkpoints; they
     crowd together near F = 0.5 where each round gains little.
     """
-    _check_args(max_rounds, baseline_min_d)
     if grid is None:
         grid = default_scan_grid()
     grid = np.asarray(grid, dtype=float)
@@ -232,17 +212,16 @@ def checkpoint_scan(
     code = builtin_code(code_name)
     poly = builtin_polynomial(code_name)
     threshold = builtin_threshold(code_name)
-    fids, discards = (np.array(rows) for rows in _dejmps_trace(grid, max_rounds))
+    fids, discards = (np.array(rows) for rows in _dejmps_trace(grid))
     cols = np.arange(grid.size)
 
     i_pre, reached = _first_true(fids >= threshold)
     if not reached.all():
-        raise _unreachable(f"threshold {threshold:.6f}", grid[~reached][0], max_rounds)
+        raise _unreachable(f"threshold {threshold:.6f}", grid[~reached][0])
     d_table = distillable_entanglement(fids)
-    i_base, reached = _first_true(d_table >= baseline_min_d)
+    i_base, reached = _first_true(d_table >= BASELINE_D)
     if not reached.all():
-        what = f"distillable entanglement {baseline_min_d}"
-        raise _unreachable(what, grid[~reached][0], max_rounds)
+        raise _unreachable(f"distillable entanglement {BASELINE_D}", grid[~reached][0])
     d_base = d_table[i_base, cols]
 
     f_hybrid = eval_qec_map(poly, fids[i_pre, cols])

@@ -64,7 +64,7 @@ def _check_bbpssw(trace) -> IdentityReport:
             checked += 1
         elif u[n] > 0.0:
             max_log_rel = max(max_log_rel, abs(math.log(u[n]) - target_log) / target_log)
-    q = trace.q[: len(u)].tolist()
+    q = _finite_prefix(trace.q).tolist()
     q_res = 0.0
     for n in range(len(q) - 1):
         if math.isfinite(q[n]) and math.isfinite(q[n + 1]):

@@ -324,8 +324,14 @@ def test_bad_inputs_exit_nonzero(capsys):
     with pytest.raises(SystemExit) as exc:  # one start: a grid or a distribution
         main(["purify", "--protocol", "dejmps", "--grid", "0.6:0.9:3", "--input-dist", "1,0,0,0"])
     assert exc.value.code == 2
-    for flag in (("--max-rounds", "-1"), ("--baseline-d", "-0.1"), ("--baseline-d", "nan")):
-        assert run_cli(capsys, "hybrid", "--grid", "0.96:0.97:2", *flag)[0] == 2
+    # fixed constants of the hybrid strategy, and flags of the other map target
+    for argv in (
+        ["hybrid", "--max-rounds", "3"], ["hybrid", "--baseline-d", "0.2"],
+        ["map", "chain", "--counts"], ["map", "qec", "--repeaters", "3", "--rounds", "913,skip,skip"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     code, _, err = run_cli(capsys, "converge", "--protocol", "dejmps", "--start", "0.6,0.2,0.1", "--n", "3")
     assert code == 2 and "--start needs exactly 4 components" in err
 

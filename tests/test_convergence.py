@@ -112,6 +112,19 @@ def test_bbpssw_u_doubling_fails_when_u0_overflows():
     assert doubling.detail == "u_0 is not finite: 0 steps checked"
 
 
+def test_bbpssw_q_squaring_reads_past_the_finite_prefix_of_u():
+    # q stays finite where u overflows, so q_squaring checks every step of q:
+    # all 5 when u_0 is inf, and a bad q_20 long after u overflowed
+    trace = iterate("bbpssw", (0.9999999, 5e-324, 5e-324, 1e-7), 5)
+    squaring = checks_by_name(trace)["q_squaring"]
+    assert squaring.passed and squaring.detail.endswith(" over 5 steps")
+    trace = iterate("bbpssw", (0.6, 0.4 / 3, 0.4 / 3, 0.4 / 3), 50)
+    assert not np.isfinite(trace.u[20])
+    q = trace.q.copy()
+    q[20] += 1e-9
+    assert not checks_by_name(dataclasses.replace(trace, q=q))["q_squaring"].passed
+
+
 def test_bbpssw_q_monotone_to_zero():
     for start in STARTS[:5]:
         trace = iterate("bbpssw", start, 40)

@@ -1,8 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
+from entdist import hybrid
 from entdist.codes import builtin_code
 from entdist.decoder import LogicalFidelityPolynomial, builtin_polynomial, eval_qec_map
 from entdist.hybrid import (
@@ -61,17 +60,19 @@ def test_threshold_ordering_by_rate():
     assert builtin_threshold("913") < builtin_threshold("923") < builtin_threshold("933")
 
 
-def test_min_rounds_basics():
+def test_min_rounds_basics(monkeypatch):
     thr = builtin_threshold("933")
     assert min_rounds_to_fidelity(0.97, thr) == 0
     assert min_rounds_to_fidelity(0.5, 0.9) is None
     assert min_rounds_to_fidelity(0.45, 0.9) is None
     assert min_rounds_to_fidelity(0.85, 0.9563) == 2
-    assert min_rounds_to_fidelity(0.505, 0.999, max_rounds=3) is None
     with pytest.raises(ValueError):
         min_rounds_to_fidelity(0.0, 0.9)
     with pytest.raises(ValueError):
         min_rounds_to_fidelity(0.9, 0.4)
+    assert min_rounds_to_fidelity(0.505, 0.999) is not None
+    monkeypatch.setattr(hybrid, "MAX_ROUNDS", 3)
+    assert min_rounds_to_fidelity(0.505, 0.999) is None
 
 
 def test_min_rounds_matches_trace_minimality():
@@ -112,15 +113,15 @@ def test_hybrid_unreachable_raises():
         hybrid_run(0.45, "933")
 
 
-def test_scalar_and_scan_unreachable_messages_agree():
+def test_scalar_and_scan_unreachable_messages_agree(monkeypatch):
+    monkeypatch.setattr(hybrid, "MAX_ROUNDS", 0)
     with pytest.raises(ValueError) as scalar:
-        hybrid_run(0.6, max_rounds=0)
+        hybrid_run(0.6)
     with pytest.raises(ValueError) as scan:
-        checkpoint_scan("933", [0.6], max_rounds=0)
+        checkpoint_scan("933", [0.6])
     assert str(scalar.value) == str(scan.value)
     assert str(scan.value) == (
-        f"threshold {builtin_threshold('933'):.6f} not reachable from F=0.6 in 0 rounds; "
-        "raise max_rounds"
+        f"threshold {builtin_threshold('933'):.6f} not reachable from F=0.6 in 0 rounds"
     )
 
 
@@ -171,24 +172,6 @@ def test_scan_grid_validation():
     assert grid[0] == 0.501 and grid[-1] < 1.0
 
 
-@pytest.mark.parametrize(
-    "max_rounds, min_d", [(-1, 0.12), (40, -0.1), (40, 0.0), (40, 1.5), (40, math.nan)]
-)
-def test_scan_arguments_checked(max_rounds, min_d):
-    with pytest.raises(ValueError, match="must"):
-        baseline_distillable(0.99, min_d=min_d, max_rounds=max_rounds)
-    with pytest.raises(ValueError, match="must"):
-        checkpoint_scan("933", np.array([0.99]), max_rounds=max_rounds, baseline_min_d=min_d)
-
-
-@pytest.mark.parametrize("max_rounds", [-1, math.nan, math.inf, 2.5])
-def test_scalar_strategy_functions_check_max_rounds(max_rounds):
-    with pytest.raises(ValueError, match="max_rounds must be >= 0"):
-        hybrid_run(0.99, max_rounds=max_rounds)
-    with pytest.raises(ValueError, match="max_rounds must be >= 0"):
-        min_rounds_to_fidelity(0.9, 0.95, max_rounds=max_rounds)
-
-
 def test_scalar_strategy_functions_reject_nan():
     for call in (hybrid_run, baseline_distillable, lambda f: min_rounds_to_fidelity(f, 0.9)):
         with pytest.raises(ValueError):
@@ -199,21 +182,20 @@ def test_scalar_strategy_functions_reject_nan():
     "grid, max_rounds",
     [(default_scan_grid(500), 40), (np.linspace(0.75, 0.999, 100), 3)],
 )
-def test_scan_equals_scalar_strategy_functions(grid, max_rounds):
+def test_scan_equals_scalar_strategy_functions(grid, max_rounds, monkeypatch):
     # the array scan against the per-point scalar functions, bit for bit;
     # the short-trace case leaves some points without a matching round
+    monkeypatch.setattr(hybrid, "MAX_ROUNDS", max_rounds)
     code = builtin_code("933")
-    scan = checkpoint_scan("933", grid, max_rounds=max_rounds)
+    scan = checkpoint_scan("933", grid)
     assert [p.f_in for p in scan] == grid.tolist()
     for p in scan:
-        res = hybrid_run(p.f_in, "933", max_rounds=max_rounds)
+        res = hybrid_run(p.f_in, "933")
         assert (p.i_pre, p.i_match, p.f_out_hybrid, p.rate_hybrid) == (
             res.i_pre, res.i_match, res.f_out, res.rate
         )
         ratio = code.k / (2.0**res.i_pre * code.n)
-        assert p.eff_hybrid == refined_efficiency(
-            p.f_in, res.f_out, ratio, res.p_total_discard, max_rounds=max_rounds
-        )
+        assert p.eff_hybrid == refined_efficiency(p.f_in, res.f_out, ratio, res.p_total_discard)
         trace = run_rounds("dejmps", max_rounds, f_in=p.f_in)
         i = max_rounds if p.i_match is None else p.i_match
         record = trace.rounds[i - 1]
@@ -222,10 +204,9 @@ def test_scan_equals_scalar_strategy_functions(grid, max_rounds):
             assert p.eff_dejmps == 0.0
         else:
             assert p.eff_dejmps == refined_efficiency(
-                p.f_in, record.dist.fidelity, 1.0 / 2.0**i, record.p_total_discard,
-                max_rounds=max_rounds,
+                p.f_in, record.dist.fidelity, 1.0 / 2.0**i, record.p_total_discard
             )
-        d_base, rounds = baseline_distillable(p.f_in, max_rounds=max_rounds)
+        d_base, rounds = baseline_distillable(p.f_in)
         assert d_base == distillable_entanglement(trace.fidelity_after(rounds))
     assert any(p.i_match is None for p in scan) == (max_rounds == 3)
 

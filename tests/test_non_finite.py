@@ -23,8 +23,8 @@ def dist(*components):
     return purify.PauliDistribution(*components)
 
 
-def refined(f_in=0.95, f_out=0.97, output_ratio=0.5, p_total_discard=0.1, **kwargs):
-    return hybrid.refined_efficiency(f_in, f_out, output_ratio, p_total_discard, **kwargs)
+def refined(f_in=0.95, f_out=0.97, output_ratio=0.5, p_total_discard=0.1):
+    return hybrid.refined_efficiency(f_in, f_out, output_ratio, p_total_discard)
 
 
 CALLS = {
@@ -41,6 +41,7 @@ CALLS = {
     "decoder.eval_qec_map[array]": lambda x: eval_qec_map(
         builtin_polynomial("913"), np.array([0.9, x])
     ),
+    "chain.ChainPlan(n_repeaters)": lambda x: ChainPlan(x, ("913", "923", "933")),
     "chain.run_chain": lambda x: run_chain(PLAN, x),
     "chain.run_chain[array]": lambda x: run_chain(PLAN, np.array([0.9, x])),
     "efficiency.efficiency_value(rate)": lambda x: efficiency.efficiency_value(x, 0.9, 0.95),
@@ -61,35 +62,20 @@ CALLS = {
     "purify.circuit_oracle": lambda x: purify.circuit_oracle("dejmps", dist(0.7, 0.1, x, 0.1)),
     "hybrid.min_rounds_to_fidelity(f_in)": lambda x: hybrid.min_rounds_to_fidelity(x, 0.95),
     "hybrid.min_rounds_to_fidelity(target)": lambda x: hybrid.min_rounds_to_fidelity(0.9, x),
-    "hybrid.min_rounds_to_fidelity(max_rounds)": lambda x: hybrid.min_rounds_to_fidelity(
-        0.9, 0.95, max_rounds=x
-    ),
     "hybrid.hybrid_run(f_in)": lambda x: hybrid.hybrid_run(x),
-    "hybrid.hybrid_run(max_rounds)": lambda x: hybrid.hybrid_run(0.99, max_rounds=x),
     "hybrid.baseline_distillable(f_in)": lambda x: hybrid.baseline_distillable(x),
-    "hybrid.baseline_distillable(min_d)": lambda x: hybrid.baseline_distillable(0.99, min_d=x),
-    "hybrid.baseline_distillable(max_rounds)": lambda x: hybrid.baseline_distillable(
-        0.9, max_rounds=x
-    ),
     "hybrid.refined_efficiency(f_in)": lambda x: refined(f_in=x),
     "hybrid.refined_efficiency(f_out)": lambda x: refined(f_out=x),
     "hybrid.refined_efficiency(output_ratio)": lambda x: refined(output_ratio=x),
     "hybrid.refined_efficiency(p_total_discard)": lambda x: refined(p_total_discard=x),
-    "hybrid.refined_efficiency(baseline_min_d)": lambda x: refined(baseline_min_d=x),
     "hybrid.checkpoint_scan(grid)": lambda x: hybrid.checkpoint_scan("933", np.array([0.9, x])),
-    "hybrid.checkpoint_scan(baseline_min_d)": lambda x: hybrid.checkpoint_scan(
-        "933", np.array([0.9]), baseline_min_d=x
-    ),
-    "hybrid.checkpoint_scan(max_rounds)": lambda x: hybrid.checkpoint_scan(
-        "933", np.array([0.9]), max_rounds=x
-    ),
     "convergence.iterate(a_0)": lambda x: convergence.iterate("bbpssw", (x, 0.2, 0.1, 0.1), 5),
     "convergence.iterate(d_0)": lambda x: convergence.iterate("dejmps", (0.6, 0.2, 0.1, x), 5),
     "convergence.iterate(n_max)": lambda x: convergence.iterate("bbpssw", (0.6, 0.2, 0.1, 0.1), x),
 }
 
 # the entries of CALLS whose argument is a count: 2.5 must fail as nan does
-COUNTS = [name for name in CALLS if name.endswith(("(n_swaps)", "(max_rounds)", "(rounds)", "(n_max)"))]
+COUNTS = [name for name in CALLS if name.endswith(("(n_swaps)", "(n_repeaters)", "(rounds)", "(n_max)"))]
 
 NON_FINITE = st.sampled_from([math.nan, -math.nan, math.inf, -math.inf])
 

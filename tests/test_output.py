@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 import row_render_oracle as oracle
-from entdist import _output
+from entdist import _output, hybrid
 from entdist._output import format_cell, render, write_table
 from entdist.cli import main
 
 # a code file whose name and failed-check detail both need CSV quoting
 ODD_CODE = 'name=a,"b\nn=2\nk=0\nd=1\nH:\nXI\nZI\n'
+# run with hybrid.MAX_ROUNDS = 3, so that some i_match cells are empty
+SHORT_TRACE = ["hybrid", "--grid", "0.75:0.999:100"]
 
 SUBCOMMANDS = [
     ["codes", "list"],
@@ -25,7 +27,7 @@ SUBCOMMANDS = [
     ["efficiency", "--protocols", "P1", "--switchpoints", "--grid", "0.9:0.99:5"],
     ["purify", "--protocol", "dejmps", "--rounds", "3", "--grid", "0:1:11"],
     ["purify", "--protocol", "bbpssw", "--rounds", "2", "--input-dist", "0.7,0.1,0.1,0.1"],
-    ["hybrid", "--grid", "0.75:0.999:100", "--max-rounds", "3"],  # some i_match empty
+    SHORT_TRACE,
     ["hybrid", "--code", "913", "--grid", "0.9:0.99:20"],
     ["converge", "--protocol", "dejmps", "--start", "0.6,0.1333,0.1333,0.1334", "--n", "20"],
 ]
@@ -50,6 +52,8 @@ def test_subcommand_tables_match_row_renderer(argv, fmt, tmp_path, capsys, monke
 
     real = _output.render
     monkeypatch.setattr(_output, "render", spy)
+    if argv is SHORT_TRACE:
+        monkeypatch.setattr(hybrid, "MAX_ROUNDS", 3)
     code = main([a.format(odd=odd) for a in argv] + ["--format", fmt])
     assert code == (1 if "{odd}" in argv else 0)
     out, err = capsys.readouterr()
@@ -60,6 +64,8 @@ def test_subcommand_tables_match_row_renderer(argv, fmt, tmp_path, capsys, monke
     for table, used, text in rendered:
         assert used == fmt
         assert text == oracle.render(list(table), oracle_rows(table), fmt)
+    if argv is SHORT_TRACE:
+        assert None in rendered[0][0]["i_match"]
 
 
 # CR is left out here: csv.writer (Python 3.11) leaves it unquoted when the
