@@ -49,6 +49,7 @@ class ChainPlan:
 
     def __post_init__(self):
         _check_count(self.n_repeaters, "repeater count")
+        object.__setattr__(self, "n_repeaters", int(self.n_repeaters))  # 3.0 counts as 3
         if self.n_repeaters % 2 == 0 and self.n_repeaters != 0:
             raise ValueError(
                 f"repeater count must be 0 or odd, got {self.n_repeaters}"

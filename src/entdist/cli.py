@@ -155,9 +155,10 @@ def _cmd_purify(args) -> int:
 def _cmd_hybrid(args) -> int:
     grid = args.grid if args.grid is not None else hybrid.default_scan_grid()
     scan = hybrid.checkpoint_scan(args.code, grid)
-    # ScanPoint fields in column order; the efficiencies are written E_*
+    # ScanPoint fields in column order, as arrays (i_match with None is an
+    # object array); the efficiencies are written E_*
     fields = [f.name for f in dataclasses.fields(hybrid.ScanPoint)]
-    table = {name.replace("eff_", "E_"): [getattr(p, name) for p in scan] for name in fields}
+    table = {name.replace("eff_", "E_"): np.array([getattr(p, name) for p in scan]) for name in fields}
     _write(args, {"": table})
     return 0
 

@@ -29,6 +29,13 @@ def test_plan_validation():
         ChainPlan(1, ("913", "923"))
 
 
+def test_whole_float_repeater_count_is_stored_as_int():
+    plan = ChainPlan(3.0, P3)
+    assert type(plan.n_repeaters) is int
+    assert plan == ChainPlan(3, P3)
+    assert rate_accounting(plan).rate == Fraction(1, 486)
+
+
 def test_swap_schedule():
     assert ChainPlan(0, P3).swap_counts == (0, 0, 0)
     assert ChainPlan(1, P3).swap_counts == (1, 0, 0)

@@ -79,16 +79,31 @@ CELLS = st.one_of(
 )
 
 
+def column_kinds(text=TEXT):
+    """(cell strategy, array dtype or None for a list) for every kind of
+    column a table may hold: the float and int arrays take the row
+    template's %.17g and %d, the others format_cell."""
+    return [
+        (st.floats(), float),
+        (st.integers(-(2**63), 2**63 - 1), np.int64),
+        (st.integers(0, 255), np.uint8),
+        (st.booleans(), bool),
+        (text, str),
+        (st.one_of(st.none(), st.integers(-(10**20), 10**20)), object),
+        (CELLS, None),
+    ]
+
+
 @st.composite
 def tables(draw, text=TEXT):
-    names = draw(st.lists(text, min_size=1, max_size=4, unique=True))
+    # zero to four columns of zero to five rows
+    names = draw(st.lists(text, min_size=0, max_size=4, unique=True))
     length = draw(st.integers(0, 5))
     table = {}
     for name in names:
-        if draw(st.booleans()):
-            table[name] = np.array(draw(st.lists(st.floats(), min_size=length, max_size=length)))
-        else:
-            table[name] = draw(st.lists(CELLS, min_size=length, max_size=length))
+        cells, dtype = draw(st.sampled_from(column_kinds(text)))
+        values = draw(st.lists(cells, min_size=length, max_size=length))
+        table[name] = values if dtype is None else np.array(values, dtype=dtype)
     return table
 
 
@@ -104,17 +119,56 @@ def test_csv_round_trips_through_csv_reader(table):
     assert rows == [list(table)] + [[format_cell(v) for v in row] for row in oracle_rows(table)]
 
 
-@pytest.mark.parametrize("names", [["x", "i", "s"], ["s"]])
+@pytest.mark.parametrize("names", [["x", "i", "n", "s"], ["s"], ["n"]])
 def test_render_spans_row_blocks(names):
     rows = 2 * _output._BLOCK + 3
     columns = {
         "x": np.linspace(0.0, 1.0, rows),
         "i": range(rows),
+        "n": np.arange(rows),
         "s": [None if i % 7 == 0 else f"r{i}," for i in range(rows)],
     }
     table = {name: columns[name] for name in names}
     for fmt in ("csv", "json"):
         assert render(table, fmt) == oracle.render(names, oracle_rows(table), fmt)
+
+
+@pytest.mark.parametrize("rows", [0, 2])
+@pytest.mark.parametrize(
+    "column",
+    [
+        np.array([0.5, -1.0]),
+        np.array([-(2**63), 2**63 - 1]),
+        np.array([0, 255], dtype=np.uint8),
+        np.array([True, False]),
+        np.array(["", 'a,"b']),
+        np.array([None, 7], dtype=object),
+        [None, ""],
+    ],
+    ids=["float", "int64", "uint8", "bool", "str", "object", "list"],
+)
+def test_one_column_tables_match_row_renderer(column, rows):
+    # a lone empty cell (and a lone empty name) is written '""'
+    for name in ("", "c"):
+        table = {name: column[:rows]}
+        for fmt in ("csv", "json"):
+            assert render(table, fmt) == oracle.render([name], oracle_rows(table), fmt)
+
+
+def test_write_table_failing_after_first_block_leaves_no_file(tmp_path):
+    seen = []
+
+    class Unprintable:
+        def __str__(self):
+            seen.extend(p.name for p in tmp_path.iterdir())
+            raise RuntimeError("unprintable cell")
+
+    cells = np.array([0] * _output._BLOCK + [Unprintable()], dtype=object)
+    with pytest.raises(RuntimeError, match="unprintable"):
+        write_table(tmp_path / "t.csv", {"x": np.zeros(cells.size), "bad": cells})
+    # the cell fails while the temp file exists: blocks are streamed into it
+    assert len(seen) == 1 and seen[0].startswith(".t.csv.") and seen[0].endswith(".tmp")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_float_columns_keep_17_digits():
