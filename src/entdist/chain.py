@@ -24,7 +24,7 @@ from math import lcm
 
 from .codes import builtin_code
 from .decoder import builtin_polynomial, eval_qec_map
-from .werner import _check_count, swap_fidelity_uniform
+from .werner import _blocked, _check_count, swap_fidelity_uniform
 
 __all__ = [
     "SKIP",
@@ -100,6 +100,7 @@ def format_plan(plan: ChainPlan) -> str:
     return f"repeaters={plan.n_repeaters}; rounds={rounds}"
 
 
+@_blocked
 def run_chain(plan: ChainPlan, f_in):
     """End-to-end output fidelity for a plan, exactly.
 

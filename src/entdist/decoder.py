@@ -30,7 +30,7 @@ import numpy as np
 
 from .codes import StabilizerCode, builtin_code, validate_code
 from .pauli import PauliString, commutes_with, multiply
-from .werner import _in_range, _scalar
+from .werner import _blocked, _in_range, _scalar
 
 __all__ = [
     "LookupTable",
@@ -204,6 +204,7 @@ def logical_fidelity_polynomial(code: StabilizerCode) -> LogicalFidelityPolynomi
     return LogicalFidelityPolynomial(code.name, n, code.k, tuple(int(c) for c in counts))
 
 
+@_blocked
 def eval_qec_map(poly: LogicalFidelityPolynomial, f_in):
     """Exact F_in -> F_out map of one distillation round.
 

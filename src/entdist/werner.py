@@ -11,7 +11,7 @@ clamp it themselves.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -44,6 +44,30 @@ def _check_count(n, what):
 def _scalar(out):
     """A 0-d result as a float; arrays pass through."""
     return float(out) if out.ndim == 0 else out
+
+
+# Points per block of a _blocked kernel: one float64 temporary is 64 KiB,
+# half of glibc's default 128 KiB mmap threshold, so the temporaries are
+# reused from the heap whatever the allocation history.
+_BLOCK = 8192
+
+
+def _blocked(kernel):
+    """``kernel(arg, f)`` over an array ``f`` of more than ``_BLOCK`` points,
+    evaluated in ``_BLOCK``-point blocks.  Exact, because the kernels are
+    elementwise; scalars, lists and small arrays go straight through."""
+
+    @wraps(kernel)
+    def blocked(arg, f):
+        if not isinstance(f, np.ndarray) or f.size <= _BLOCK:
+            return kernel(arg, f)
+        flat = f.astype(float, copy=False).ravel()
+        out = np.empty_like(flat)
+        for i in range(0, flat.size, _BLOCK):
+            out[i : i + _BLOCK] = kernel(arg, flat[i : i + _BLOCK])
+        return out.reshape(f.shape)
+
+    return blocked
 
 
 def _bisect(g, lo, hi, tol):
