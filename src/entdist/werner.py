@@ -11,6 +11,8 @@ clamp it themselves.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from functools import lru_cache, wraps
 
 import numpy as np
@@ -52,10 +54,24 @@ def _scalar(out):
 _BLOCK = 8192
 
 
+# Threads a _blocked kernel deals its blocks to: one per CPU in the process's
+# affinity mask, read once at import.  With one CPU the blocks run serially.
+try:
+    _THREADS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity masks on this platform
+    _THREADS = os.cpu_count() or 1
+
+
 def _blocked(kernel):
     """``kernel(arg, f)`` over an array ``f`` of more than ``_BLOCK`` points,
-    evaluated in ``_BLOCK``-point blocks.  Exact, because the kernels are
-    elementwise; scalars, lists and small arrays go straight through."""
+    evaluated in ``_BLOCK``-point blocks dealt round-robin to ``_THREADS``
+    threads, the calling one taking share 0: numpy's loops release the GIL,
+    and round-robin spreads a sorted grid's slow points (negative bases of
+    ``**``), which cluster.  Exact, because the kernels are elementwise and
+    block ``i`` writes ``out[i : i + _BLOCK]`` on whatever thread; scalars,
+    lists and small arrays go straight through.  If blocks fail, the first
+    failing block's error is raised once every thread has joined, as the
+    serial loop would raise it."""
 
     @wraps(kernel)
     def blocked(arg, f):
@@ -63,8 +79,33 @@ def _blocked(kernel):
             return kernel(arg, f)
         flat = f.astype(float, copy=False).ravel()
         out = np.empty_like(flat)
-        for i in range(0, flat.size, _BLOCK):
-            out[i : i + _BLOCK] = kernel(arg, flat[i : i + _BLOCK])
+        starts = range(0, flat.size, _BLOCK)
+        errors = []
+        # A new thread starts from numpy's default error state (numpy >= 2
+        # keeps it in a context variable, older numpy per thread), so each
+        # share runs under the caller's.
+        err, call = np.geterr(), np.geterrcall()
+
+        def share(k):
+            with np.errstate(call=call, **err):
+                for i in starts[k::_THREADS]:
+                    try:
+                        out[i : i + _BLOCK] = kernel(arg, flat[i : i + _BLOCK])
+                    except Exception as exc:
+                        errors.append((i, exc))
+                        return
+
+        n = min(_THREADS, len(starts))
+        threads = [threading.Thread(target=share, args=(k,)) for k in range(1, n)]
+        for t in threads:
+            t.start()
+        try:
+            share(0)
+        finally:
+            for t in threads:
+                t.join()
+        if errors:
+            raise min(errors)[1]  # block starts are unique: exceptions are never compared
         return out.reshape(f.shape)
 
     return blocked

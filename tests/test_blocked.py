@@ -1,9 +1,11 @@
 """Blocked evaluation of the array entry points is bit-identical.
 
 ``chain.run_chain`` and ``decoder.eval_qec_map`` evaluate arrays longer
-than ``werner._BLOCK`` points block by block.  The checks compare bytes:
-against the undecorated kernel (``__wrapped__``) on the whole array, and
-against a one-point array call per sampled point.
+than ``werner._BLOCK`` points block by block, the blocks dealt round-robin
+to ``werner._THREADS`` threads.  The checks compare bytes: against the
+undecorated kernel (``__wrapped__``) on the whole array, and against a
+one-point array call per sampled point.  Each runs with 1, 2 and 3
+threads; with 3, the four blocks of ``N`` points split 2, 1, 1.
 
 A scalar call is not held to the same bytes.  On a 0-d input the kernels'
 intermediates are numpy scalars, whose ``**`` is the C library's ``pow``,
@@ -12,10 +14,13 @@ the two differ in the last bits at a few percent of points, before and
 after blocking alike.  Scalars are checked to 64 ulp.
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from entdist import chain
+from entdist import chain, werner
 from entdist.chain import ChainPlan, run_chain
 from entdist.codes import builtin_names
 from entdist.decoder import builtin_polynomial, eval_qec_map
@@ -31,6 +36,7 @@ ROUNDS = list(PROTOCOL_SEQUENCES.values()) + [
 ]
 PLANS = [ChainPlan(reps, rounds) for reps in (0, 1, 3, 5) for rounds in ROUNDS]
 N = 3 * _BLOCK + 7  # three full blocks and a ragged tail
+THREADS = (1, 2, 3)
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +62,13 @@ def whole_chain(plan, f):
         return run_chain.__wrapped__(plan, f)
 
 
+def each_thread_count(monkeypatch):
+    """Sets ``werner._THREADS`` to 1, 2 and 3 in turn, yielding each."""
+    for n in THREADS:
+        monkeypatch.setattr(werner, "_THREADS", n)
+        yield n
+
+
 def _same_bytes(a, b):
     assert a.dtype == b.dtype == np.float64
     assert a.shape == b.shape
@@ -69,17 +82,21 @@ def _check_points(kernel, arg, x, out, sample):
 
 
 @pytest.mark.parametrize("plan", PLANS, ids=lambda p: p.label)
-def test_run_chain_blocks_match_whole_array_and_points(plan, x, sample):
-    out = run_chain(plan, x)
-    _same_bytes(out, whole_chain(plan, x))
+def test_run_chain_blocks_match_whole_array_and_points(plan, x, sample, monkeypatch):
+    whole = whole_chain(plan, x)
+    for _ in each_thread_count(monkeypatch):
+        out = run_chain(plan, x)
+        _same_bytes(out, whole)
     _check_points(run_chain, plan, x, out, sample)
 
 
 @pytest.mark.parametrize("name", builtin_names())
-def test_eval_qec_map_blocks_match_whole_array_and_points(name, x, sample):
+def test_eval_qec_map_blocks_match_whole_array_and_points(name, x, sample, monkeypatch):
     poly = builtin_polynomial(name)
-    out = eval_qec_map(poly, x)
-    _same_bytes(out, eval_qec_map.__wrapped__(poly, x))
+    whole = eval_qec_map.__wrapped__(poly, x)
+    for _ in each_thread_count(monkeypatch):
+        out = eval_qec_map(poly, x)
+        _same_bytes(out, whole)
     _check_points(eval_qec_map, poly, x, out, sample)
 
 
@@ -93,12 +110,14 @@ def test_eval_qec_map_blocks_match_whole_array_and_points(name, x, sample):
     ],
     ids=["2d", "strided", "int", "list"],
 )
-def test_input_layouts(make, x):
+def test_input_layouts(make, x, monkeypatch):
     f = make(x)
     plan = ChainPlan(3, PROTOCOL_SEQUENCES["P3"])
-    _same_bytes(run_chain(plan, f), whole_chain(plan, f))
     poly = builtin_polynomial("913")
-    _same_bytes(eval_qec_map(poly, f), eval_qec_map.__wrapped__(poly, f))
+    whole = whole_chain(plan, f), eval_qec_map.__wrapped__(poly, f)
+    for _ in each_thread_count(monkeypatch):
+        _same_bytes(run_chain(plan, f), whole[0])
+        _same_bytes(eval_qec_map(poly, f), whole[1])
 
 
 def test_scalars_and_0d_arrays_return_float():
@@ -109,21 +128,86 @@ def test_scalars_and_0d_arrays_return_float():
         assert type(eval_qec_map(poly, f)) is float
 
 
-@pytest.mark.parametrize("bad", [1.5, -0.1, np.nan])
-@pytest.mark.parametrize("rounds", [PROTOCOL_SEQUENCES["P3"], (None, "923", "933")])
-def test_bad_value_in_last_block_raises_the_whole_array_error(bad, rounds, x):
-    f = x.copy()
-    f[-1] = bad
+def _raises_the_whole_array_error(f, rounds, monkeypatch):
     calls = [
         (whole_chain, run_chain, ChainPlan(3, rounds)),
         (eval_qec_map.__wrapped__, eval_qec_map, builtin_polynomial("933")),
     ]
+    before = threading.active_count()
     for whole_kernel, blocked_kernel, arg in calls:
         with pytest.raises(ValueError) as whole:
             whole_kernel(arg, f)
-        with pytest.raises(ValueError) as blocked:
-            blocked_kernel(arg, f)
-        assert str(blocked.value) == str(whole.value)
+        for _ in each_thread_count(monkeypatch):
+            with pytest.raises(ValueError) as blocked:
+                blocked_kernel(arg, f)
+            assert str(blocked.value) == str(whole.value)
+            assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.1, np.nan])
+@pytest.mark.parametrize("rounds", [PROTOCOL_SEQUENCES["P3"], (None, "923", "933")])
+def test_bad_value_in_last_block_raises_the_whole_array_error(bad, rounds, x, monkeypatch):
+    f = x.copy()
+    f[-1] = bad
+    _raises_the_whole_array_error(f, rounds, monkeypatch)
+
+
+@pytest.mark.parametrize("at", [0, _BLOCK + 1], ids=["block0", "block1"])
+@pytest.mark.parametrize("rounds", [PROTOCOL_SEQUENCES["P3"], (None, "923", "933")])
+def test_bad_value_in_first_blocks_raises_the_whole_array_error(at, rounds, x, monkeypatch):
+    f = x.copy()
+    f[at] = np.nan
+    _raises_the_whole_array_error(f, rounds, monkeypatch)
+
+
+@pytest.mark.parametrize("slow", [_BLOCK, 3 * _BLOCK], ids=["block1", "block3"])
+def test_the_first_failing_blocks_error_is_raised(slow, monkeypatch):
+    """Blocks 1 and 3 fail, on different threads when there are three, the
+    ``slow`` one last; block 1's error wins, as in the serial loop, and
+    every thread has joined."""
+
+    def kernel(arg, f):
+        if f[0] in arg:
+            if f[0] == slow:
+                time.sleep(0.02)
+            raise ValueError(f"block at {f[0]:g}")
+        return f
+
+    f = np.arange(N, dtype=float)
+    before = threading.active_count()
+    for _ in each_thread_count(monkeypatch):
+        with pytest.raises(ValueError, match=f"block at {_BLOCK}$"):
+            werner._blocked(kernel)((_BLOCK, 3 * _BLOCK), f)
+        assert threading.active_count() == before
+        _same_bytes(werner._blocked(kernel)((), f), f)
+        assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("at", [_BLOCK + 1, N - 1], ids=["block1", "last"])
+def test_callers_errstate_applies_in_every_block(at, x, monkeypatch):
+    """``np.errstate(under="raise")`` raises from the blocked call exactly
+    when it raises from the whole-array kernel: not on ``x``, and on a
+    1e-40 input, whose ``f**9`` underflows, in a late block."""
+    tiny = x.copy()
+    tiny[at] = 1e-40
+    plan = ChainPlan(3, PROTOCOL_SEQUENCES["P3"])
+    poly = builtin_polynomial("913")
+    calls = [(whole_chain, run_chain, plan), (eval_qec_map.__wrapped__, eval_qec_map, poly)]
+
+    def underflows(kernel, arg, f):
+        with np.errstate(under="raise"):
+            try:
+                kernel(arg, f)
+            except FloatingPointError:
+                return True
+        return False
+
+    for whole_kernel, blocked_kernel, arg in calls:
+        assert not underflows(whole_kernel, arg, x)
+        assert underflows(whole_kernel, arg, tiny)
+        for _ in each_thread_count(monkeypatch):
+            assert not underflows(blocked_kernel, arg, x)
+            assert underflows(blocked_kernel, arg, tiny)
 
 
 def test_run_chain_calls_its_round_maps_one_block_at_a_time(x, monkeypatch):
@@ -133,5 +217,9 @@ def test_run_chain_calls_its_round_maps_one_block_at_a_time(x, monkeypatch):
         spy = lambda *args, fn=fn, seen=seen: seen.append(max(map(np.size, args))) or fn(*args)
         monkeypatch.setattr(chain, name, spy)
     run_chain(ChainPlan(3, PROTOCOL_SEQUENCES["P3"]), x)
-    per_round = [n for n in (_BLOCK, _BLOCK, _BLOCK, 7) for _ in range(3)]  # three rounds per block
-    assert sizes == {"eval_qec_map": per_round, "swap_fidelity_uniform": per_round}
+    # three rounds per block; blocks on different threads interleave
+    per_round = sorted(n for n in (_BLOCK, _BLOCK, _BLOCK, 7) for _ in range(3))
+    assert {name: sorted(seen) for name, seen in sizes.items()} == {
+        "eval_qec_map": per_round,
+        "swap_fidelity_uniform": per_round,
+    }
