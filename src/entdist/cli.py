@@ -107,7 +107,7 @@ def _cmd_map_chain(args) -> int:
 
 
 def _cmd_efficiency(args) -> int:
-    labels = [lab.strip().upper() for lab in args.protocols.split(",")]
+    labels = [lab.strip() for lab in args.protocols.split(",")]
     grid = args.grid if args.grid is not None else efficiency.default_grid()
     curves = efficiency.protocol_curves(args.repeaters, grid, labels)
     table = {"f_in": grid, **{f"E_{c.label}": c.values for c in curves}}
@@ -312,7 +312,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -29,16 +29,13 @@ from functools import lru_cache
 import numpy as np
 
 from .codes import StabilizerCode, builtin_code, validate_code
-from .pauli import PauliString, commutes_with, multiply
+from .pauli import PauliString
 from .werner import _blocked, _in_range, _scalar
 
 __all__ = [
     "LookupTable",
-    "ErrorOutcome",
     "LogicalFidelityPolynomial",
     "build_lookup_table",
-    "syndrome_of",
-    "classify_error",
     "logical_fidelity_polynomial",
     "eval_qec_map",
     "code_distance",
@@ -100,18 +97,15 @@ def _syndromes(mx, mz, ops: tuple[PauliString, ...], n: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class LookupTable:
-    """Complete syndrome -> minimum-weight-correction table for one code."""
+    """Complete syndrome -> minimum-weight-correction table for one code.
+
+    ``leaders[s]`` is the enumeration index m of the stored correction for
+    packed syndrome s; ``syndromes[m]`` is the packed syndrome of error m.
+    """
 
     code: StabilizerCode
-    entries: dict[tuple[int, ...], PauliString]
-    _leaders: np.ndarray = field(repr=False)
-    _syn_ids: np.ndarray = field(repr=False)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def correction_for(self, syndrome: tuple[int, ...]) -> PauliString:
-        return self.entries[tuple(syndrome)]
+    leaders: np.ndarray = field(repr=False)
+    syndromes: np.ndarray = field(repr=False)
 
 
 def build_lookup_table(code: StabilizerCode) -> LookupTable:
@@ -133,45 +127,7 @@ def build_lookup_table(code: StabilizerCode) -> LookupTable:
     if len(unique_ids) != 2**m_s:
         raise AssertionError("incomplete syndrome coverage despite full rank")
     leaders = order[first_pos]  # index m of each syndrome's leader, syndrome 0 first
-
-    entries: dict[tuple[int, ...], PauliString] = {}
-    for sid, m in enumerate(leaders.tolist()):
-        bits = tuple((sid >> (m_s - 1 - i)) & 1 for i in range(m_s))
-        entries[bits] = PauliString(n, _mask(m >> n, n), _mask(m & (2**n - 1), n)).unsigned()
-    return LookupTable(code, entries, leaders, syn_ids)
-
-
-def syndrome_of(code: StabilizerCode, error: PauliString) -> tuple[int, ...]:
-    """Syndrome bits of an error, bit i = 1 iff it anticommutes with
-    stabilizer i."""
-    if error.n != code.n:
-        raise ValueError(f"error acts on {error.n} qubits, code has {code.n}")
-    return tuple(0 if commutes_with(error, s) else 1 for s in code.stabilizers)
-
-
-@dataclass(frozen=True)
-class ErrorOutcome:
-    """Result of decoding one error: corrected, or which logicals flipped.
-
-    ``x_anticommutes[i]``/``z_anticommutes[i]`` flag the logical X_i / Z_i
-    operators that anticommute with the residual error after correction.
-    """
-
-    corrected: bool
-    x_anticommutes: tuple[int, ...]
-    z_anticommutes: tuple[int, ...]
-
-
-def classify_error(code: StabilizerCode, lut: LookupTable, error: PauliString) -> ErrorOutcome:
-    """Apply the stored correction and test the residual against the
-    logical operators.  The residual commutes with every stabilizer by
-    construction, so it is corrected iff it lies in the stabilizer group.
-    """
-    correction = lut.correction_for(syndrome_of(code, error))
-    residual = multiply(error, correction)
-    ax = tuple(0 if commutes_with(residual, p) else 1 for p in code.logical_x)
-    az = tuple(0 if commutes_with(residual, p) else 1 for p in code.logical_z)
-    return ErrorOutcome(not any(ax) and not any(az), ax, az)
+    return LookupTable(code, leaders, syn_ids)
 
 
 @dataclass(frozen=True)
@@ -197,8 +153,8 @@ def logical_fidelity_polynomial(code: StabilizerCode) -> LogicalFidelityPolynomi
     lut = build_lookup_table(code)
     n = code.n
     mx, mz, w, _ = _pauli_enumeration(n)
-    # lut._syn_ids is aligned with the same enumeration
-    leader = lut._leaders[lut._syn_ids]
+    # lut.syndromes is aligned with the same enumeration
+    leader = lut.leaders[lut.syndromes]
     corrected = _syndromes(mx ^ mx[leader], mz ^ mz[leader], code.logical_x + code.logical_z, n) == 0
     counts = np.bincount(w[corrected], minlength=n + 1)
     return LogicalFidelityPolynomial(code.name, n, code.k, tuple(int(c) for c in counts))

@@ -100,14 +100,15 @@ def efficiency_curve(plan: ChainPlan, grid=None, label: str | None = None) -> Ef
 
 
 def protocol_curves(n_repeaters: int, grid=None, labels=None) -> list[EfficiencyCurve]:
-    """Curves for the standard protocols, in envelope order."""
-    labels = tuple(labels) if labels is not None else tuple(PROTOCOL_SEQUENCES)
+    """Curves for the standard protocols, in envelope order; a label may
+    appear once, whatever its case."""
+    labels = [lab.upper() for lab in labels] if labels is not None else list(PROTOCOL_SEQUENCES)
+    repeated = sorted({lab for lab in labels if labels.count(lab) > 1})
+    if repeated:
+        raise ValueError(f"repeated protocol label {', '.join(repeated)}")
     if grid is None:
         grid = default_grid()
-    return [
-        efficiency_curve(protocol_plan(lab, n_repeaters), grid, label=lab.upper())
-        for lab in labels
-    ]
+    return [efficiency_curve(protocol_plan(lab, n_repeaters), grid, label=lab) for lab in labels]
 
 
 def _common_grid(curves) -> np.ndarray:

@@ -1,10 +1,9 @@
-"""Exact n-qubit Pauli operator arithmetic in binary symplectic form.
+"""n-qubit Pauli operator arithmetic in binary symplectic form.
 
-A Pauli operator is stored as ``i**phase_pow * X^x * Z^z`` where ``x`` and
-``z`` are bitmasks (qubit ``j`` at bit ``j``) and the phase power is kept
-modulo 4.  The letter at qubit ``j`` is I/X/Z/Y for (x_j, z_j) =
-(0,0)/(1,0)/(0,1)/(1,1).  Phases are tracked so that the operators form a
-true group; syndrome decoding only ever looks at the unsigned part.
+A Pauli operator is stored as ``X^x * Z^z`` where ``x`` and ``z`` are
+bitmasks (qubit ``j`` at bit ``j``).  The letter at qubit ``j`` is I/X/Z/Y
+for (x_j, z_j) = (0,0)/(1,0)/(0,1)/(1,1).  Operators are unsigned: syndrome
+decoding reads only commutation, which no phase changes.
 """
 
 from __future__ import annotations
@@ -20,24 +19,15 @@ __all__ = [
 
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _BITS_TO_LETTER = {v: k for k, v in _LETTER_TO_BITS.items()}
-_PHASE_PREFIX = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
-_PREFIX_BY_POW = ("", "i", "-", "-i")
-_PHASE_VALUES = (1, 1j, -1, -1j)
 
 
 @dataclass(frozen=True)
 class PauliString:
-    """An n-qubit Pauli operator with phase in {+1, +i, -1, -i}.
-
-    ``phase_pow`` is the power of i multiplying the X^x Z^z normal form,
-    not the displayed phase of the letter string (each Y letter absorbs a
-    factor of i: Y = i X Z).
-    """
+    """An unsigned n-qubit Pauli operator."""
 
     n: int
     x: int
     z: int
-    phase_pow: int = 0
 
     def __post_init__(self):
         if self.n <= 0:
@@ -45,29 +35,27 @@ class PauliString:
         mask = (1 << self.n) - 1
         if self.x & ~mask or self.z & ~mask:
             raise ValueError("bitmask exceeds qubit count")
-        object.__setattr__(self, "phase_pow", self.phase_pow % 4)
 
     @classmethod
     def identity(cls, n: int) -> "PauliString":
-        return cls(n, 0, 0, 0)
+        return cls(n, 0, 0)
 
     @classmethod
     def from_string(cls, text: str) -> "PauliString":
-        """Parse a letter string with optional sign prefix, e.g. ``-iYIZ``.
+        """Parse a letter string, e.g. ``YIZ``.  A sign prefix (``-iYIZ``)
+        is accepted and dropped.
 
         Qubit 0 is the leftmost letter, matching the row convention used
         for stabilizer tables.
         """
         s = text.strip()
-        prefix = ""
         for cand in ("-i", "+i", "i", "-", "+"):
             if s.startswith(cand):
-                prefix, s = cand, s[len(cand):]
+                s = s[len(cand):]
                 break
         if not s:
             raise ValueError(f"no Pauli letters in {text!r}")
         x = z = 0
-        n_y = 0
         for j, ch in enumerate(s):
             try:
                 xb, zb = _LETTER_TO_BITS[ch]
@@ -75,8 +63,7 @@ class PauliString:
                 raise ValueError(f"invalid Pauli letter {ch!r} in {text!r}") from None
             x |= xb << j
             z |= zb << j
-            n_y += xb & zb
-        return cls(len(s), x, z, (_PHASE_PREFIX[prefix] + n_y) % 4)
+        return cls(len(s), x, z)
 
     @property
     def x_bits(self) -> tuple[int, ...]:
@@ -85,12 +72,6 @@ class PauliString:
     @property
     def z_bits(self) -> tuple[int, ...]:
         return tuple((self.z >> j) & 1 for j in range(self.n))
-
-    @property
-    def phase(self) -> complex:
-        """Displayed phase of the letter string, one of 1, i, -1, -i."""
-        n_y = (self.x & self.z).bit_count()
-        return _PHASE_VALUES[(self.phase_pow - n_y) % 4]
 
     @property
     def weight(self) -> int:
@@ -105,11 +86,6 @@ class PauliString:
     def letters(self) -> str:
         return "".join(self.letter(j) for j in range(self.n))
 
-    def unsigned(self) -> "PauliString":
-        """Same operator with phase reset so the letter string displays +."""
-        n_y = (self.x & self.z).bit_count()
-        return PauliString(self.n, self.x, self.z, n_y % 4)
-
     def commutes_with(self, other: "PauliString") -> bool:
         return commutes_with(self, other)
 
@@ -117,8 +93,7 @@ class PauliString:
         return multiply(self, other)
 
     def __str__(self) -> str:
-        n_y = (self.x & self.z).bit_count()
-        return _PREFIX_BY_POW[(self.phase_pow - n_y) % 4] + self.letters()
+        return self.letters()
 
     def __repr__(self) -> str:
         return f"PauliString({str(self)!r})"
@@ -130,14 +105,9 @@ def _check_same_n(a: PauliString, b: PauliString) -> None:
 
 
 def multiply(a: PauliString, b: PauliString) -> PauliString:
-    """Group product a*b with exact phase.
-
-    In normal form, commuting Z^za past X^xb picks up (-1) per overlapping
-    bit: i^(pa+pb) X^xa Z^za X^xb Z^zb = i^(pa+pb+2*|za&xb|) X^(xa^xb) Z^(za^zb).
-    """
+    """Product a*b up to its phase: X^(xa^xb) Z^(za^zb)."""
     _check_same_n(a, b)
-    p = (a.phase_pow + b.phase_pow + 2 * (a.z & b.x).bit_count()) % 4
-    return PauliString(a.n, a.x ^ b.x, a.z ^ b.z, p)
+    return PauliString(a.n, a.x ^ b.x, a.z ^ b.z)
 
 
 def commutes_with(a: PauliString, b: PauliString) -> bool:

@@ -17,16 +17,13 @@ components as a plain Y/Z relabeling.
 Every query runs the recursion directly; the map is effectively step-like
 near F = 0.5 so nothing here is ever grid-interpolated.  One kernel,
 :func:`_recurrence`, runs every round in the package, on floats or arrays.
-An independent 16-branch Pauli-frame circuit oracle (:func:`circuit_oracle`)
-reproduces the same maps from the actual two-pair circuit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .pauli import PauliString, commutes_with
-from .werner import _check_count, _in_range
+from .werner import _check_count
 
 __all__ = [
     "PROTOCOLS",
@@ -37,8 +34,6 @@ __all__ = [
     "purify_step",
     "twirl",
     "run_rounds",
-    "circuit_oracle",
-    "bbpssw_closed_form",
 ]
 
 PROTOCOLS = ("bbpssw", "dejmps")
@@ -198,71 +193,3 @@ def run_rounds(
         )
     )
     return PurificationTrace(protocol, twirled, initial, records)
-
-
-def bbpssw_closed_form(f: float) -> tuple[float, float]:
-    """Werner-fidelity recurrence for one twirled round and its discard.
-
-    Returns (F_out, P_discard) with
-    F_out = (F^2 + (1-F)^2/9) / (F^2 + 2F(1-F)/3 + 5(1-F)^2/9); the
-    denominator is the keep probability.
-    """
-    _in_range(f)
-    g = 1.0 - f
-    num = f * f + g * g / 9.0
-    den = f * f + 2.0 * f * g / 3.0 + 5.0 * g * g / 9.0
-    return num / den, 1.0 - den
-
-
-# ---------------------------------------------------------------------------
-# Independent circuit oracle: propagate the 16 two-pair input errors through
-# the protocol circuit in the Pauli frame and apply the measurement-match
-# keep rule.  Bell-diagonal inputs make these 16 branches exhaustive.
-# ---------------------------------------------------------------------------
-
-_LETTERS = "IXYZ"
-# R_X(+-pi/2) conjugation relabels the Y and Z error components (unsigned).
-_ROTATE = {"I": "I", "X": "X", "Y": "Z", "Z": "Y"}
-_MEASZ = PauliString.from_string("IZ")
-
-
-def _cnot_conjugate(p: PauliString) -> PauliString:
-    """Conjugate a 2-qubit Pauli by CNOT(control=0, target=1): the X part
-    of the control spreads to the target, the Z part of the target spreads
-    to the control.  Unsigned (phases do not affect keep/discard or the
-    surviving component)."""
-    x0 = p.x & 1
-    z1 = (p.z >> 1) & 1
-    return PauliString(2, p.x ^ (x0 << 1), p.z ^ z1).unsigned()
-
-
-def circuit_oracle(protocol: str, dist: PauliDistribution) -> PurifyStep:
-    """Re-derive one protocol round from the circuit itself.
-
-    Each branch puts one Pauli on each noisy half (kept pair = qubit 0,
-    measured pair = qubit 1), applies the DEJMPS pre-rotation relabeling
-    when applicable, conjugates through the bilateral CNOT, and keeps the
-    branch iff the propagated error commutes with the Z check on the
-    measured pair.  Must agree with :func:`purify_step` exactly.
-    """
-    protocol = _check_protocol(protocol)
-    dist.validate()
-    probs = dict(zip(_LETTERS, dist.as_tuple()))
-    acc = {letter: 0.0 for letter in _LETTERS}
-    p_discard = 0.0
-    for e1 in _LETTERS:
-        for e2 in _LETTERS:
-            pr = probs[e1] * probs[e2]
-            if protocol == "dejmps":
-                e1p, e2p = _ROTATE[e1], _ROTATE[e2]
-            else:
-                e1p, e2p = e1, e2
-            propagated = _cnot_conjugate(PauliString.from_string(e1p + e2p))
-            if commutes_with(propagated, _MEASZ):
-                acc[propagated.letter(0)] += pr
-            else:
-                p_discard += pr
-    raw = (acc["I"], acc["X"], acc["Y"], acc["Z"])
-    kept = sum(raw)
-    out = PauliDistribution(*(v / kept for v in raw))
-    return PurifyStep(raw, p_discard, out)

@@ -21,7 +21,6 @@ __all__ = [
     "fidelity_to_werner",
     "werner_to_fidelity",
     "distillable_entanglement",
-    "swap_fidelity",
     "swap_fidelity_uniform",
     "hashing_threshold",
 ]
@@ -147,20 +146,6 @@ def distillable_entanglement(f):
         term_f = np.where(f > 0.0, f * np.log2(np.where(f > 0.0, f, 1.0)), 0.0)
         term_g = np.where(g > 0.0, g * np.log2(np.where(g > 0.0, g / 3.0, 1.0)), 0.0)
     return _scalar(1.0 + term_f + term_g)
-
-
-def swap_fidelity(fidelities) -> float:
-    """End-to-end fidelity after swapping a list of Werner links:
-    Werner parameters multiply."""
-    fids = [float(f) for f in fidelities]
-    if not fids:
-        raise ValueError("need at least one fidelity")
-    w = 1.0
-    for f in fids:
-        if not 0.0 <= f <= 1.0:
-            raise ValueError("fidelity must lie in [0, 1]")
-        w *= (4.0 * f - 1.0) / 3.0
-    return 0.25 + 0.75 * w
 
 
 def swap_fidelity_uniform(f, n_swaps: int):

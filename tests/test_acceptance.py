@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 import identity_oracle
+from circuit_oracle import circuit_oracle
+from closed_form_oracle import bbpssw_closed_form
 from entdist.convergence import check_identities, iterate
 from entdist.decoder import builtin_polynomial, eval_qec_map
 from entdist.efficiency import protocol_curves, switching_points
@@ -20,8 +22,6 @@ from entdist.hybrid import builtin_threshold, checkpoint_scan, pseudo_threshold
 from entdist.purify import (
     PROTOCOLS,
     PauliDistribution,
-    bbpssw_closed_form,
-    circuit_oracle,
     purify_step,
     run_rounds,
 )

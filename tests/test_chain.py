@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from closed_form_oracle import swap_fidelity
 from entdist.chain import (
     SKIP,
     ChainPlan,
@@ -12,7 +13,7 @@ from entdist.chain import (
     rate_accounting,
     run_chain,
 )
-from entdist.werner import swap_fidelity, swap_fidelity_uniform
+from entdist.werner import swap_fidelity_uniform
 
 P3 = ("913", "923", "933")
 

@@ -311,7 +311,7 @@ def test_missing_output_directory_fails_cleanly(tmp_path, capsys):
     assert not target.exists()
 
 
-def test_bad_inputs_exit_nonzero(capsys):
+def test_bad_inputs_exit_nonzero(capsys, tmp_path):
     assert run_cli(capsys, "map", "chain", "--repeaters", "2", "--rounds", "913,923,933")[0] == 2
     assert run_cli(capsys, "map", "chain", "--rounds", "913,923")[0] == 2
     assert run_cli(capsys, "map", "qec", "--code", "999")[0] == 2
@@ -334,6 +334,17 @@ def test_bad_inputs_exit_nonzero(capsys):
         assert exc.value.code == 2
     code, _, err = run_cli(capsys, "converge", "--protocol", "dejmps", "--start", "0.6,0.2,0.1", "--n", "3")
     assert code == 2 and "--start needs exactly 4 components" in err
+    # OS errors are bad input too, not a failed check (exit 1) or a traceback
+    code, _, err = run_cli(capsys, "codes", "validate", str(tmp_path))
+    assert code == 2 and err.startswith("error: ")
+    occupied = tmp_path / "occupied"
+    occupied.write_text("")
+    code, _, err = run_cli(capsys, "repro", "--outdir", str(occupied))
+    assert code == 2 and err.startswith("error: ")
+    # one column per protocol: a repeated label, in any case, is refused
+    for protocols in ("P1,P1", "P1,p1"):
+        code, _, err = run_cli(capsys, "efficiency", "--protocols", protocols, "--switchpoints")
+        assert code == 2 and "repeated protocol label P1" in err
 
 
 @pytest.mark.parametrize("spec", ["nan:1:3", "0:nan:3", "-inf:1:3", "0:inf:3"])

@@ -102,3 +102,12 @@ def test_custom_code_from_text_validates():
     )
     code = parse_code_text(text)
     assert validate_code(code, check_distance=True).passed
+
+
+def test_signed_rows_load_as_unsigned():
+    def text(h1, h2, x, z):
+        return "\n".join(["name=threequbit", "n=3", "k=1", "d=1", "H:", h1, h2, "X:", x, "Z:", z, ""])
+
+    assert parse_code_text(text("-ZZI", "iIZZ", "-iXXX", "+ZII")) == parse_code_text(
+        text("ZZI", "IZZ", "XXX", "ZII")
+    )

@@ -120,6 +120,12 @@ def test_curves_must_share_grid(curves_1r):
         switching_points([curves_1r[0], other])
 
 
+@pytest.mark.parametrize("labels", [["P1", "P1"], ["P2", "P1", "p1"]])
+def test_repeated_label_refused(labels):
+    with pytest.raises(ValueError, match="repeated protocol label P1"):
+        protocol_curves(1, np.linspace(0.9, 1.0, 5), labels)
+
+
 def test_curve_grid_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
         efficiency_curve(protocol_plan("P1", 1), np.array([0.9, 0.9, 0.95]))

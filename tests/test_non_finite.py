@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from circuit_oracle import circuit_oracle
+from closed_form_oracle import bbpssw_closed_form, swap_fidelity
 from entdist import convergence, efficiency, hybrid, purify, werner
 from entdist.chain import ChainPlan, run_chain
 from entdist.decoder import builtin_polynomial, eval_qec_map
@@ -34,7 +36,7 @@ CALLS = {
     "werner.distillable_entanglement[array]": lambda x: werner.distillable_entanglement(
         np.array([0.9, x])
     ),
-    "werner.swap_fidelity": lambda x: werner.swap_fidelity([0.9, x]),
+    "werner.swap_fidelity": lambda x: swap_fidelity([0.9, x]),
     "werner.swap_fidelity_uniform(f)": lambda x: werner.swap_fidelity_uniform(x, 1),
     "werner.swap_fidelity_uniform(n_swaps)": lambda x: werner.swap_fidelity_uniform(0.9, x),
     "decoder.eval_qec_map": lambda x: eval_qec_map(builtin_polynomial("913"), x),
@@ -58,8 +60,8 @@ CALLS = {
     ),
     "purify.purify_step": lambda x: purify.purify_step("bbpssw", dist(0.7, x, 0.1, 0.1)),
     "purify.twirl": lambda x: purify.twirl(dist(x, 0.1, 0.1, 0.1)),
-    "purify.bbpssw_closed_form": lambda x: purify.bbpssw_closed_form(x),
-    "purify.circuit_oracle": lambda x: purify.circuit_oracle("dejmps", dist(0.7, 0.1, x, 0.1)),
+    "purify.bbpssw_closed_form": lambda x: bbpssw_closed_form(x),
+    "purify.circuit_oracle": lambda x: circuit_oracle("dejmps", dist(0.7, 0.1, x, 0.1)),
     "hybrid.min_rounds_to_fidelity(f_in)": lambda x: hybrid.min_rounds_to_fidelity(x, 0.95),
     "hybrid.min_rounds_to_fidelity(target)": lambda x: hybrid.min_rounds_to_fidelity(0.9, x),
     "hybrid.hybrid_run(f_in)": lambda x: hybrid.hybrid_run(x),

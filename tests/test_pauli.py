@@ -1,5 +1,7 @@
 import itertools
+from functools import reduce
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,22 +10,35 @@ from entdist.pauli import PauliString, canonical_key, commutes_with, multiply
 P = PauliString.from_string
 
 
-def all_paulis(n, phases=("",)):
+# the single-qubit Paulis as dense 2x2 matrices
+MATRIX = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def all_paulis(n):
     for letters in itertools.product("IXYZ", repeat=n):
-        for prefix in phases:
-            yield P(prefix + "".join(letters))
+        yield P("".join(letters))
+
+
+def dense(p):
+    """The operator as a 2^n x 2^n matrix, qubit 0 the leftmost kron factor."""
+    return reduce(np.kron, (MATRIX[letter] for letter in p.letters()))
 
 
 def test_multiply_single_qubit_table():
     assert multiply(P("X"), P("X")) == P("I")
-    assert multiply(P("X"), P("Z")) == P("-iY")
-    assert multiply(P("X"), P("Y")) == P("iZ")
-    assert multiply(P("Z"), P("X")) == P("iY")
+    assert multiply(P("X"), P("Z")) == P("Y")
+    assert multiply(P("X"), P("Y")) == P("Z")
+    assert multiply(P("Z"), P("X")) == P("Y")
     assert multiply(P("Y"), P("Y")) == P("I")
 
 
 def test_multiply_two_qubit_example():
-    assert multiply(P("XX"), P("ZZ")) == P("-YY")
+    assert multiply(P("XX"), P("ZZ")) == P("YY")
 
 
 def test_multiply_dimension_mismatch():
@@ -45,21 +60,14 @@ def test_weight_examples():
     assert P("YIZ").weight == 2
 
 
-def test_phase_values():
-    assert P("X").phase == 1
-    assert P("-iY").phase == -1j
-    assert P("iZZ").phase == 1j
-    assert multiply(P("XX"), P("ZZ")).phase == -1
-
-
 def test_self_product_is_unsigned_identity():
-    for a in all_paulis(2, phases=("", "i", "-", "-i")):
+    for a in all_paulis(2):
         prod = multiply(a, a)
         assert prod.x == 0 and prod.z == 0
 
 
 def test_multiply_associative_exhaustive_two_qubits():
-    ops = list(all_paulis(2)) + [P("-iYX"), P("iZY"), P("-XI")]
+    ops = list(all_paulis(2)) + [P("YX"), P("ZY"), P("XI")]
     for a, b, c in itertools.product(ops[:16], ops[:16], ops[16:]):
         assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
 
@@ -70,18 +78,26 @@ def test_commutation_symmetry_exhaustive():
         assert commutes_with(a, b) == commutes_with(b, a)
 
 
-def test_commute_iff_products_share_phase():
+def test_commutes_iff_dense_matrices_commute():
+    # all 256 pairs of 2-qubit operators, against the matrices themselves
     for a, b in itertools.product(all_paulis(2), repeat=2):
-        ab, ba = multiply(a, b), multiply(b, a)
-        assert commutes_with(a, b) == (ab.phase == ba.phase)
+        ma, mb = dense(a), dense(b)
+        assert commutes_with(a, b) == np.array_equal(ma @ mb, mb @ ma)
+
+
+def test_multiply_is_dense_product_up_to_phase():
+    for a, b in itertools.product(all_paulis(2), repeat=2):
+        product, expected = dense(a) @ dense(b), dense(multiply(a, b))
+        assert any(np.array_equal(product, c * expected) for c in (1, 1j, -1, -1j))
 
 
 def test_roundtrip_all_three_qubit_strings():
     for letters in itertools.product("IXYZ", repeat=3):
         text = "".join(letters)
         assert str(P(text)) == text
-    for prefix in ("i", "-", "-i"):
-        assert str(P(prefix + "XYZ")) == prefix + "XYZ"
+    # a sign prefix is accepted and dropped
+    for prefix in ("+", "i", "+i", "-", "-i"):
+        assert str(P(prefix + "XYZ")) == "XYZ"
 
 
 def test_parse_rejects_garbage():

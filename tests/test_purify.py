@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from circuit_oracle import circuit_oracle
+from closed_form_oracle import bbpssw_closed_form
 from entdist.purify import (
     PROTOCOLS,
     PauliDistribution,
-    bbpssw_closed_form,
-    circuit_oracle,
     purify_step,
     run_rounds,
     twirl,

