@@ -8,7 +8,6 @@ byte-identical output, whatever the environment.  Grids are given as
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import os
@@ -155,10 +154,7 @@ def _cmd_purify(args) -> int:
 def _cmd_hybrid(args) -> int:
     grid = args.grid if args.grid is not None else hybrid.default_scan_grid()
     scan = hybrid.checkpoint_scan(args.code, grid)
-    # ScanPoint fields in column order, as arrays (i_match with None is an
-    # object array); the efficiencies are written E_*
-    fields = [f.name for f in dataclasses.fields(hybrid.ScanPoint)]
-    table = {name.replace("eff_", "E_"): np.array([getattr(p, name) for p in scan]) for name in fields}
+    table = {name.replace("eff_", "E_"): scan[name] for name in scan.dtype.names}
     _write(args, {"": table})
     return 0
 
@@ -255,12 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
     maps = p.add_subparsers(dest="target", required=True)
     qec = maps.add_parser("qec", help="one QEC round's fidelity map")
     qec.add_argument("--code", default="933")
-    qec.add_argument("--counts", action="store_true", help="emit (weight, count) rows instead of the map")
+    group = qec.add_mutually_exclusive_group()  # the counts take no grid
+    group.add_argument("--counts", action="store_true", help="emit (weight, count) rows instead of the map")
     full_chain = maps.add_parser("chain", help="a whole repeater chain's fidelity map")
     full_chain.add_argument("--repeaters", type=int, default=1)
     full_chain.add_argument("--rounds", default="913,923,933", help="3 comma-separated code names or 'skip'")
-    for p, func in ((qec, _cmd_map_qec), (full_chain, _cmd_map_chain)):
-        p.add_argument("--grid", type=_parse_grid, default="0:1:1000", help="fidelity grid min:max:points")
+    for p, grid_owner, func in ((qec, group, _cmd_map_qec), (full_chain, full_chain, _cmd_map_chain)):
+        grid_owner.add_argument("--grid", type=_parse_grid, default="0:1:1000", help="fidelity grid min:max:points")
         _add_common(p)
         p.set_defaults(func=func)
 

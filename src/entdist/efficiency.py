@@ -112,6 +112,8 @@ def protocol_curves(n_repeaters: int, grid=None, labels=None) -> list[Efficiency
 
 
 def _common_grid(curves) -> np.ndarray:
+    if not curves:
+        raise ValueError("no curves given")
     grid = curves[0].grid
     for c in curves[1:]:
         if len(c.grid) != len(grid) or not np.array_equal(c.grid, grid):

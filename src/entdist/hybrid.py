@@ -34,7 +34,6 @@ __all__ = [
     "BASELINE_D",
     "MAX_ROUNDS",
     "HybridResult",
-    "ScanPoint",
     "pseudo_threshold",
     "builtin_threshold",
     "min_rounds_to_fidelity",
@@ -173,20 +172,6 @@ def refined_efficiency(
     return float(_refined(output_ratio, f_out, d_base, p_total_discard))
 
 
-@dataclass(frozen=True)
-class ScanPoint:
-    f_in: float
-    i_pre: int
-    i_match: int | None
-    f_out_dejmps: float
-    f_out_hybrid: float
-    rate_dejmps: float
-    rate_hybrid: float
-    eff_dejmps: float
-    eff_hybrid: float
-    winner: str
-
-
 def default_scan_grid(points: int = 10000) -> np.ndarray:
     """10,000 uniform points on [0.501, 1).  The right endpoint is
     excluded: at F = 1 exactly, both strategies are no-ops and the
@@ -194,11 +179,17 @@ def default_scan_grid(points: int = 10000) -> np.ndarray:
     return np.linspace(0.501, 1.0, points, endpoint=False)
 
 
-def checkpoint_scan(code_name: str = "933", grid=None) -> list[ScanPoint]:
-    """Evaluate hybrid vs matching pure DEJMPS across an input grid, as
+def checkpoint_scan(code_name: str = "933", grid=None) -> np.recarray:
+    """Evaluate hybrid vs matching pure DEJMPS across a 1-D input grid, as
     array ops on one (MAX_ROUNDS + 1, N) DEJMPS trace table: i_pre, i_match
     and the baseline round are first rows meeting a bar.  Each point equals
     :func:`hybrid_run` and :func:`refined_efficiency` on it, bit for bit.
+
+    Returns a record array with one record per grid point and the fields
+    ``f_in, i_pre, i_match, f_out_dejmps, f_out_hybrid, rate_dejmps,
+    rate_hybrid, eff_dejmps, eff_hybrid, winner``: ``scan["f_in"]`` is a
+    column, ``scan[i].i_pre`` a cell.  ``i_match`` is an object column of
+    ints, None where no round within ``MAX_ROUNDS`` matches the hybrid.
 
     Jumps in i_pre / i_match across the grid are the checkpoints; they
     crowd together near F = 0.5 where each round gains little.
@@ -206,6 +197,8 @@ def checkpoint_scan(code_name: str = "933", grid=None) -> list[ScanPoint]:
     if grid is None:
         grid = default_scan_grid()
     grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError(f"scan grid must be 1-D, got shape {grid.shape}")
     inside = (grid > 0.501 - 1e-12) & (grid < 1.0)  # False for NaN
     if not inside.all():
         raise ValueError(f"scan grid must lie inside [0.501, 1), got {grid[~inside][0]}")
@@ -238,12 +231,9 @@ def checkpoint_scan(code_name: str = "933", grid=None) -> list[ScanPoint]:
     rate_dejmps = (1.0 - p_dejmps) / 2.0**i_dejmps
     eff_dejmps = np.where(matched, _refined(1.0 / 2.0**i_dejmps, f_dejmps, d_base, p_dejmps), 0.0)
     winner = np.where(eff_hybrid > eff_dejmps, "hybrid", "dejmps")
-    i_match = [i if m else None for i, m in zip(i_match.tolist(), matched.tolist())]
-    return [
-        ScanPoint(*row)
-        for row in zip(
-            grid.tolist(), i_pre.tolist(), i_match, f_dejmps.tolist(), f_hybrid.tolist(),
-            rate_dejmps.tolist(), rate_hybrid.tolist(), eff_dejmps.tolist(),
-            eff_hybrid.tolist(), winner.tolist(),
-        )
-    ]
+    return np.rec.fromarrays(
+        [grid, i_pre, np.where(matched, i_match, None), f_dejmps, f_hybrid,
+         rate_dejmps, rate_hybrid, eff_dejmps, eff_hybrid, winner],
+        names="f_in,i_pre,i_match,f_out_dejmps,f_out_hybrid,"
+        "rate_dejmps,rate_hybrid,eff_dejmps,eff_hybrid,winner",
+    )

@@ -324,10 +324,12 @@ def test_bad_inputs_exit_nonzero(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:  # one start: a grid or a distribution
         main(["purify", "--protocol", "dejmps", "--grid", "0.6:0.9:3", "--input-dist", "1,0,0,0"])
     assert exc.value.code == 2
-    # fixed constants of the hybrid strategy, and flags of the other map target
+    # fixed constants of the hybrid strategy, flags of the other map target,
+    # and a grid for the weight counts, which take none
     for argv in (
         ["hybrid", "--max-rounds", "3"], ["hybrid", "--baseline-d", "0.2"],
         ["map", "chain", "--counts"], ["map", "qec", "--repeaters", "3", "--rounds", "913,skip,skip"],
+        ["map", "qec", "--counts", "--grid", "0:1:5"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

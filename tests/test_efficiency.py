@@ -126,6 +126,13 @@ def test_repeated_label_refused(labels):
         protocol_curves(1, np.linspace(0.9, 1.0, 5), labels)
 
 
+def test_no_curves_refused():
+    assert protocol_curves(1, labels=[]) == []
+    for call in (optimal_envelope, switching_points):
+        with pytest.raises(ValueError, match="no curves"):
+            call([])
+
+
 def test_curve_grid_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
         efficiency_curve(protocol_plan("P1", 1), np.array([0.9, 0.9, 0.95]))

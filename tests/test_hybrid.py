@@ -167,6 +167,11 @@ def test_scan_grid_validation():
         checkpoint_scan("933", np.array([0.6, 1.0]))
     with pytest.raises(ValueError, match="inside.*nan"):
         checkpoint_scan("933", np.array([0.6, np.nan]))
+    # a scalar or a 2-D grid is refused before the trace is built
+    with pytest.raises(ValueError, match="1-D"):
+        checkpoint_scan("933", 0.9)
+    with pytest.raises(ValueError, match="1-D"):
+        checkpoint_scan("933", np.full((2, 3), 0.9))
     grid = default_scan_grid()
     assert len(grid) == 10000
     assert grid[0] == 0.501 and grid[-1] < 1.0

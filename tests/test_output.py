@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 
 import numpy as np
@@ -66,6 +67,19 @@ def test_subcommand_tables_match_row_renderer(argv, fmt, tmp_path, capsys, monke
         assert text == oracle.render(list(table), oracle_rows(table), fmt)
     if argv is SHORT_TRACE:
         assert None in rendered[0][0]["i_match"]
+
+
+def test_hybrid_json_integers_stay_integers(capsys, monkeypatch):
+    # the row renderer sees the same table as render, so an i_match cell
+    # turned np.int64 (written as the string "3") shows only in the JSON
+    monkeypatch.setattr(hybrid, "MAX_ROUNDS", 3)
+    assert main(SHORT_TRACE + ["--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    rows = [dict(zip(payload["columns"], row)) for row in payload["rows"]]
+    assert len(rows) == 100
+    assert all(type(row["i_pre"]) is int for row in rows)
+    assert all(row["i_match"] is None or type(row["i_match"]) is int for row in rows)
+    assert sum(row["i_match"] is None for row in rows) == 28
 
 
 # CR is left out here: csv.writer (Python 3.11) leaves it unquoted when the
