@@ -12,14 +12,8 @@ strategy (:mod:`~entdist.hybrid`), and convergence diagnostics
 (:mod:`~entdist.convergence`).
 """
 
-from .pauli import PauliString, canonical_key, commutes_with, multiply
+from .pauli import PauliString, commutes_with
 
-__all__ = [
-    "PauliString",
-    "multiply",
-    "commutes_with",
-    "canonical_key",
-    "__version__",
-]
+__all__ = ["PauliString", "commutes_with", "__version__"]
 
 __version__ = "0.1.0"

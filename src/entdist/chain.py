@@ -17,7 +17,6 @@ the next code's block size, in exact integer arithmetic.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -31,7 +30,6 @@ __all__ = [
     "ChainPlan",
     "RoundAccounting",
     "parse_rounds",
-    "parse_plan",
     "format_plan",
     "run_chain",
     "rate_accounting",
@@ -76,23 +74,12 @@ class ChainPlan:
         return format_plan(self)
 
 
-_PLAN_RE = re.compile(r"^\s*repeaters\s*=\s*(\d+)\s*;\s*rounds\s*=\s*([\w,]+)\s*$")
-
-
 def parse_rounds(spec: str) -> tuple[str | None, str | None, str | None]:
     """Parse ``913,skip,933``: three code names, ``skip`` for no coding."""
     entries = spec.split(",")
     if len(entries) != 3:
         raise ValueError(f"rounds must name exactly 3 codes or 'skip', got {spec!r}")
     return tuple(SKIP if e.lower() == "skip" else e for e in entries)
-
-
-def parse_plan(text: str) -> ChainPlan:
-    """Parse ``repeaters=3; rounds=913,923,933`` (``skip`` for no coding)."""
-    m = _PLAN_RE.match(text)
-    if not m:
-        raise ValueError(f"malformed plan {text!r}; expected 'repeaters=N; rounds=a,b,c'")
-    return ChainPlan(int(m.group(1)), parse_rounds(m.group(2)))
 
 
 def format_plan(plan: ChainPlan) -> str:
@@ -141,13 +128,11 @@ def rate_accounting(plan: ChainPlan) -> RoundAccounting:
     """
     if any(r is SKIP for r in plan.rounds):
         raise ValueError("rate accounting requires a code in every round")
-    codes = [builtin_code(name) for name in plan.rounds]
-    n1 = (plan.n_repeaters + 1) * codes[0].n
-    k1 = codes[0].k
-    l1 = lcm(k1, codes[1].n)
-    n2 = (l1 // k1) * n1
-    k2 = (l1 // codes[1].n) * codes[1].k
-    l2 = lcm(k2, codes[2].n)
-    n3 = (l2 // k2) * n2
-    k3 = (l2 // codes[2].n) * codes[2].k
-    return RoundAccounting((n1, n2, n3), (k1, k2, k3), (l1, l2))
+    first, *later = (builtin_code(name) for name in plan.rounds)
+    n_in, k_out, matching = [(plan.n_repeaters + 1) * first.n], [first.k], []
+    for code in later:
+        size = lcm(k_out[-1], code.n)
+        n_in.append(size // k_out[-1] * n_in[-1])
+        k_out.append(size // code.n * code.k)
+        matching.append(size)
+    return RoundAccounting(tuple(n_in), tuple(k_out), tuple(matching))

@@ -70,14 +70,15 @@ def _check_columns(checks) -> dict:
     }
 
 
-def _cmd_codes(args) -> int:
-    if args.action == "list":
-        found = [codes.builtin_code(name) for name in codes.builtin_names()]
-        table = {field: [getattr(c, field) for c in found] for field in ("name", "n", "k", "d")}
-        table["stabilizers"] = [len(c.stabilizers) for c in found]
-        _write(args, {"": table})
-        return 0
-    # validate
+def _cmd_codes_list(args) -> int:
+    found = [codes.builtin_code(name) for name in codes.builtin_names()]
+    table = {field: [getattr(c, field) for c in found] for field in ("name", "n", "k", "d")}
+    table["stabilizers"] = [len(c.stabilizers) for c in found]
+    _write(args, {"": table})
+    return 0
+
+
+def _cmd_codes_validate(args) -> int:
     names = args.names or list(codes.builtin_names())
     checked = []  # (code name, check result)
     for name in names:
@@ -241,11 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("codes", help="list or validate the stabilizer code registry")
-    p.add_argument("action", choices=("list", "validate"))
-    p.add_argument("names", nargs="*", help="code names or code files (default: all builtin)")
-    p.add_argument("--distance", action="store_true", help="verify stored d exhaustively")
-    _add_common(p)
-    p.set_defaults(func=_cmd_codes)
+    actions = p.add_subparsers(dest="action", required=True)
+    listing = actions.add_parser("list", help="the builtin codes' parameters")
+    validate = actions.add_parser("validate", help="check codes' structural invariants")
+    validate.add_argument("names", nargs="*", help="code names or code files (default: all builtin)")
+    validate.add_argument("--distance", action="store_true", help="verify stored d exhaustively")
+    for p, func in ((listing, _cmd_codes_list), (validate, _cmd_codes_validate)):
+        _add_common(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("map", help="single-code or full-chain fidelity maps")
     maps = p.add_subparsers(dest="target", required=True)

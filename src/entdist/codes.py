@@ -21,9 +21,7 @@ __all__ = [
     "builtin_names",
     "validate_code",
     "parse_code_text",
-    "format_code_text",
     "load_code",
-    "save_code",
 ]
 
 
@@ -283,25 +281,5 @@ def parse_code_text(text: str) -> StabilizerCode:
     )
 
 
-def format_code_text(code: StabilizerCode) -> str:
-    lines = [
-        f"name={code.name}",
-        f"n={code.n}",
-        f"k={code.k}",
-        f"d={code.d}",
-        "H:",
-        *[p.letters() for p in code.stabilizers],
-        "X:",
-        *[p.letters() for p in code.logical_x],
-        "Z:",
-        *[p.letters() for p in code.logical_z],
-    ]
-    return "\n".join(lines) + "\n"
-
-
 def load_code(path) -> StabilizerCode:
     return parse_code_text(Path(path).read_text())
-
-
-def save_code(code: StabilizerCode, path) -> None:
-    Path(path).write_text(format_code_text(code))

@@ -1,11 +1,14 @@
 """Minimum-weight lookup-table decoder and exact logical-fidelity maps.
 
 The decoder enumerates all 4^n unsigned Pauli errors in canonical order
-(weight ascending, deterministic tie-break) and keeps the first error per
-syndrome as the stored correction: the maximum-likelihood coset leader for
-the depolarizing channel.  Classifying every error against its correction
-yields weight-indexed counts A_w of decoder-correctable errors, from which
-the single-round fidelity map
+and keeps the first error per syndrome as the stored correction: the
+maximum-likelihood coset leader for the depolarizing channel.  Canonical
+order is weight ascending, then, within a weight, the 2n-bit string of the
+x block above the z block read as an unsigned integer, qubit 0 the most
+significant bit of each block; it makes the tables reproducible bit for
+bit.  Classifying every error against its correction yields
+weight-indexed counts A_w of decoder-correctable errors, from which the
+single-round fidelity map
 
     F_out = sum_w A_w * F^(n-w) * ((1-F)/3)^w
 
@@ -59,10 +62,10 @@ def _pauli_enumeration(n: int):
     Returns (mx, mz, w, order): the x and z masks of every index m as
     uint16 (mx = m >> n, mz = m & (2^n - 1), qubit 0 most significant),
     the uint8 weights and the canonical order.  Ascending m is exactly the
-    canonical lexicographic tie-break of ``pauli.canonical_key``, so a
-    stable sort by weight gives the full canonical order.  Refused above
-    10 qubits, before anything is allocated: the cached arrays take
-    4^n * 13 bytes, about 14 MB at n = 10.
+    canonical tie-break within a weight, so a stable sort by weight gives
+    the full canonical order.  Refused above 10 qubits, before anything is
+    allocated: the cached arrays take 4^n * 13 bytes, about 14 MB at
+    n = 10.
     """
     if n > 10:
         raise ValueError(f"exhaustive decoding supports n <= 10 qubits, got n={n}")
@@ -142,9 +145,6 @@ class LogicalFidelityPolynomial:
     n: int
     k: int
     counts: tuple[int, ...]
-
-    def __call__(self, f_in):
-        return eval_qec_map(self, f_in)
 
 
 def logical_fidelity_polynomial(code: StabilizerCode) -> LogicalFidelityPolynomial:

@@ -10,12 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = [
-    "PauliString",
-    "multiply",
-    "commutes_with",
-    "canonical_key",
-]
+__all__ = ["PauliString", "commutes_with"]
 
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _BITS_TO_LETTER = {v: k for k, v in _LETTER_TO_BITS.items()}
@@ -35,10 +30,6 @@ class PauliString:
         mask = (1 << self.n) - 1
         if self.x & ~mask or self.z & ~mask:
             raise ValueError("bitmask exceeds qubit count")
-
-    @classmethod
-    def identity(cls, n: int) -> "PauliString":
-        return cls(n, 0, 0)
 
     @classmethod
     def from_string(cls, text: str) -> "PauliString":
@@ -65,19 +56,6 @@ class PauliString:
             z |= zb << j
         return cls(len(s), x, z)
 
-    @property
-    def x_bits(self) -> tuple[int, ...]:
-        return tuple((self.x >> j) & 1 for j in range(self.n))
-
-    @property
-    def z_bits(self) -> tuple[int, ...]:
-        return tuple((self.z >> j) & 1 for j in range(self.n))
-
-    @property
-    def weight(self) -> int:
-        """Number of qubits on which the operator is not the identity."""
-        return (self.x | self.z).bit_count()
-
     def letter(self, j: int) -> str:
         if not 0 <= j < self.n:
             raise IndexError(j)
@@ -86,12 +64,6 @@ class PauliString:
     def letters(self) -> str:
         return "".join(self.letter(j) for j in range(self.n))
 
-    def commutes_with(self, other: "PauliString") -> bool:
-        return commutes_with(self, other)
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        return multiply(self, other)
-
     def __str__(self) -> str:
         return self.letters()
 
@@ -99,32 +71,8 @@ class PauliString:
         return f"PauliString({str(self)!r})"
 
 
-def _check_same_n(a: PauliString, b: PauliString) -> None:
-    if a.n != b.n:
-        raise ValueError(f"qubit count mismatch: {a.n} vs {b.n}")
-
-
-def multiply(a: PauliString, b: PauliString) -> PauliString:
-    """Product a*b up to its phase: X^(xa^xb) Z^(za^zb)."""
-    _check_same_n(a, b)
-    return PauliString(a.n, a.x ^ b.x, a.z ^ b.z)
-
-
 def commutes_with(a: PauliString, b: PauliString) -> bool:
     """True iff the symplectic inner product (a.x·b.z + a.z·b.x) is even."""
-    _check_same_n(a, b)
+    if a.n != b.n:
+        raise ValueError(f"qubit count mismatch: {a.n} vs {b.n}")
     return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 0
-
-
-def canonical_key(a: PauliString) -> tuple[int, int]:
-    """Deterministic total-order key: weight, then the concatenated
-    (x_bits, z_bits) read as an unsigned integer with qubit 0 most
-    significant.  Fixes the tie order among equal-weight errors so that
-    lookup tables are reproducible bit for bit.
-    """
-    n = a.n
-    key = 0
-    for j in range(n):
-        key |= ((a.x >> j) & 1) << (2 * n - 1 - j)
-        key |= ((a.z >> j) & 1) << (n - 1 - j)
-    return (a.weight, key)

@@ -18,20 +18,18 @@ from functools import lru_cache, wraps
 import numpy as np
 
 __all__ = [
-    "fidelity_to_werner",
-    "werner_to_fidelity",
     "distillable_entanglement",
     "swap_fidelity_uniform",
     "hashing_threshold",
 ]
 
 
-def _in_range(x, lo=0.0, hi=1.0, what="fidelity"):
-    """``x`` as a float array; raises unless every entry lies in [lo, hi].
+def _in_range(x, what="fidelity"):
+    """``x`` as a float array; raises unless every entry lies in [0, 1].
     The test is negated, so that NaN fails it too."""
     x = np.asarray(x, dtype=float)
-    if not ((x >= lo) & (x <= hi)).all():
-        raise ValueError(f"{what} must lie in [{lo:g}, {hi:g}]")
+    if not ((x >= 0.0) & (x <= 1.0)).all():
+        raise ValueError(f"{what} must lie in [0, 1]")
     return x
 
 
@@ -120,16 +118,6 @@ def _bisect(g, lo, hi, tol):
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def fidelity_to_werner(f):
-    f = _in_range(f)
-    return _scalar((4.0 * f - 1.0) / 3.0)
-
-
-def werner_to_fidelity(w):
-    w = _in_range(w, -1.0 / 3.0, 1.0, "Werner parameter")
-    return _scalar((3.0 * w + 1.0) / 4.0)
 
 
 def distillable_entanglement(f):

@@ -4,7 +4,9 @@ It decodes one ``PauliString`` at a time: the syndrome from commutation
 with each stabilizer, the stored correction looked up by its syndrome
 bits, and the residual tested against the logical operators.  The
 decoder tests use it as an independent second path to the packed
-whole-enumeration kernel.
+whole-enumeration kernel.  ``canonical_key`` is the oracle for the
+kernel's enumeration order; ``multiply`` and ``weight`` are the Pauli
+product and weight it reads.
 """
 
 from dataclasses import dataclass
@@ -12,7 +14,33 @@ from functools import lru_cache
 
 from entdist.codes import StabilizerCode
 from entdist.decoder import LookupTable, _mask
-from entdist.pauli import PauliString, commutes_with, multiply
+from entdist.pauli import PauliString, commutes_with
+
+
+def multiply(a: PauliString, b: PauliString) -> PauliString:
+    """Product a*b up to its phase: X^(xa^xb) Z^(za^zb)."""
+    if a.n != b.n:
+        raise ValueError(f"qubit count mismatch: {a.n} vs {b.n}")
+    return PauliString(a.n, a.x ^ b.x, a.z ^ b.z)
+
+
+def weight(p: PauliString) -> int:
+    """Number of qubits on which the operator is not the identity."""
+    return (p.x | p.z).bit_count()
+
+
+def canonical_key(p: PauliString) -> tuple[int, int]:
+    """Deterministic total-order key: weight, then the concatenated x and
+    z bits read as an unsigned integer with qubit 0 most significant in
+    each block.  Fixes the tie order among equal-weight errors so that
+    lookup tables are reproducible bit for bit.
+    """
+    n = p.n
+    key = 0
+    for j in range(n):
+        key |= ((p.x >> j) & 1) << (2 * n - 1 - j)
+        key |= ((p.z >> j) & 1) << (n - 1 - j)
+    return (weight(p), key)
 
 
 @lru_cache(maxsize=None)

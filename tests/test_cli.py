@@ -42,6 +42,41 @@ def test_codes_validate_all(capsys):
     assert all(row[2] == "pass" for row in rows)
 
 
+FIVE_QUBIT_FILE = """name=five
+n=5
+k=1
+d={d}
+H:
+XZZXI
+IXZZX
+XIXZZ
+ZXIXZ
+X:
+XXXXX
+Z:
+ZZZZZ
+"""
+
+
+def test_codes_validate_code_file(capsys, tmp_path):
+    path = tmp_path / "five.txt"
+    path.write_text(FIVE_QUBIT_FILE.format(d=3))
+    code, out, _ = run_cli(capsys, "codes", "validate", str(path), "--distance")
+    assert code == 0
+    _, rows = csv_rows(out)
+    assert rows[-1][:3] == ["five", "distance", "pass"]
+    assert all(row[2] == "pass" for row in rows)
+    # a wrong stored distance is a failed check (exit 1), named in its row
+    path.write_text(FIVE_QUBIT_FILE.format(d=4))
+    code, out, _ = run_cli(capsys, "codes", "validate", str(path), "--distance")
+    assert code == 1
+    assert out.splitlines()[-1] == 'five,distance,fail,"computed d=3, stored d=4"'
+    # a file without its name line is bad input (exit 2)
+    path.write_text(FIVE_QUBIT_FILE.format(d=3).replace("name=five\n", ""))
+    code, _, err = run_cli(capsys, "codes", "validate", str(path), "--distance")
+    assert code == 2 and "missing header lines: name" in err
+
+
 def test_map_qec_single_point(capsys):
     code, out, _ = run_cli(capsys, "map", "qec", "--code", "913", "--grid", "1:1:1")
     assert code == 0
@@ -325,11 +360,13 @@ def test_bad_inputs_exit_nonzero(capsys, tmp_path):
         main(["purify", "--protocol", "dejmps", "--grid", "0.6:0.9:3", "--input-dist", "1,0,0,0"])
     assert exc.value.code == 2
     # fixed constants of the hybrid strategy, flags of the other map target,
-    # and a grid for the weight counts, which take none
+    # a grid for the weight counts, and names or a flag for the code list,
+    # none of which take them
     for argv in (
         ["hybrid", "--max-rounds", "3"], ["hybrid", "--baseline-d", "0.2"],
         ["map", "chain", "--counts"], ["map", "qec", "--repeaters", "3", "--rounds", "913,skip,skip"],
         ["map", "qec", "--counts", "--grid", "0:1:5"],
+        ["codes", "list", "913"], ["codes", "list", "--distance"], ["codes", "list", "913", "--distance"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

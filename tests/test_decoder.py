@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import bitmatrix_oracle as oracle
-from decoder_oracle import classify_error, entries, syndrome_of
+from decoder_oracle import canonical_key, classify_error, entries, syndrome_of, weight
 from entdist.codes import StabilizerCode, builtin_code, builtin_names, validate_code
 from entdist.decoder import (
     build_lookup_table,
@@ -15,7 +15,7 @@ from entdist.decoder import (
     eval_qec_map,
     logical_fidelity_polynomial,
 )
-from entdist.pauli import PauliString, canonical_key
+from entdist.pauli import PauliString
 
 P = PauliString.from_string
 
@@ -87,9 +87,9 @@ def test_five_qubit_table_is_identity_plus_weight_one(luts):
     table = entries(luts["513"])
     assert len(table) == 16
     leaders = list(table.values())
-    assert sum(1 for p in leaders if p.weight == 0) == 1
-    assert sum(1 for p in leaders if p.weight == 1) == 15
-    assert table[(0, 0, 0, 0)] == PauliString.identity(5)
+    assert sum(1 for p in leaders if weight(p) == 0) == 1
+    assert sum(1 for p in leaders if weight(p) == 1) == 15
+    assert table[(0, 0, 0, 0)] == PauliString(5, 0, 0)
 
 
 def test_nine_qubit_table_sizes(luts):
@@ -97,13 +97,13 @@ def test_nine_qubit_table_sizes(luts):
     assert len(entries(luts["923"])) == 128
     assert len(entries(luts["933"])) == 64
     # exhaustive enumeration: the deepest coset leader for 913 has weight 5
-    assert max(p.weight for p in entries(luts["913"]).values()) == 5
+    assert max(weight(p) for p in entries(luts["913"]).values()) == 5
 
 
 def test_zero_syndrome_maps_to_identity(luts):
     for name, lut in luts.items():
         m = builtin_code(name).n - builtin_code(name).k
-        assert entries(lut)[(0,) * m].weight == 0
+        assert weight(entries(lut)[(0,) * m]) == 0
 
 
 def test_entries_reproduce_their_syndrome(luts):
@@ -141,7 +141,7 @@ def test_coset_leaders_have_minimum_weight(luts):
 def test_classify_identity_corrected(luts):
     for name, lut in luts.items():
         code = builtin_code(name)
-        out = classify_error(code, lut, PauliString.identity(code.n))
+        out = classify_error(code, lut, PauliString(code.n, 0, 0))
         assert out.corrected
 
 
@@ -168,9 +168,9 @@ def test_913_has_weight_two_logical_failure(luts):
             break
     assert first_failure is not None
     e, out = first_failure
-    assert e.weight == 2
+    assert weight(e) == 2
     leader = entries(lut)[syndrome_of(code, e)]
-    assert leader != e and leader.weight <= 2
+    assert leader != e and weight(leader) <= 2
     assert any(out.x_anticommutes) or any(out.z_anticommutes)
 
 
@@ -206,7 +206,7 @@ def test_five_qubit_polynomial_vs_scalar_bruteforce(luts, polys):
         for z in range(32):
             e = PauliString(5, x, z)
             if classify_error(code, lut, e).corrected:
-                counts[e.weight] += 1
+                counts[weight(e)] += 1
     assert tuple(counts) == polys["513"].counts
 
 

@@ -30,8 +30,6 @@ def refined(f_in=0.95, f_out=0.97, output_ratio=0.5, p_total_discard=0.1):
 
 
 CALLS = {
-    "werner.fidelity_to_werner": lambda x: werner.fidelity_to_werner(x),
-    "werner.werner_to_fidelity": lambda x: werner.werner_to_fidelity(x),
     "werner.distillable_entanglement": lambda x: werner.distillable_entanglement(x),
     "werner.distillable_entanglement[array]": lambda x: werner.distillable_entanglement(
         np.array([0.9, x])

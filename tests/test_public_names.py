@@ -19,3 +19,9 @@ def test_every_all_name_resolves():
         if not hasattr(module, name)
     ]
     assert missing == []
+
+
+def test_package_exports_pauli_type_and_commutation():
+    # the Pauli product, weight and order key are test oracles (decoder_oracle)
+    assert entdist.pauli.__all__ == ["PauliString", "commutes_with"]
+    assert entdist.__all__ == ["PauliString", "commutes_with", "__version__"]

@@ -7,42 +7,14 @@ from hypothesis import given, strategies as st
 from closed_form_oracle import swap_fidelity
 from entdist.chain import ChainPlan, run_chain
 from entdist.decoder import builtin_polynomial, eval_qec_map
-from entdist.werner import (
-    distillable_entanglement,
-    fidelity_to_werner,
-    hashing_threshold,
-    swap_fidelity_uniform,
-    werner_to_fidelity,
-)
+from entdist.werner import distillable_entanglement, hashing_threshold, swap_fidelity_uniform
 
 fidelities = st.floats(0.0, 1.0, allow_nan=False)
-
-
-def test_conversion_examples():
-    assert fidelity_to_werner(1.0) == 1.0
-    assert fidelity_to_werner(0.25) == 0.0
-    assert abs(fidelity_to_werner(0.81071) - 0.747613) < 1e-6
-    assert werner_to_fidelity(0.0) == 0.25
-    assert werner_to_fidelity(1.0) == 1.0
-
-
-@given(fidelities)
-def test_conversion_roundtrip(f):
-    assert math.isclose(werner_to_fidelity(fidelity_to_werner(f)), f, abs_tol=1e-15)
-
-
-def test_conversion_range_checks():
-    with pytest.raises(ValueError):
-        fidelity_to_werner(1.2)
-    with pytest.raises(ValueError):
-        werner_to_fidelity(-0.5)
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        pytest.param(fidelity_to_werner, id="fidelity_to_werner"),
-        pytest.param(werner_to_fidelity, id="werner_to_fidelity"),
         pytest.param(lambda f: swap_fidelity_uniform(f, 2), id="swap_fidelity_uniform"),
         pytest.param(lambda f: eval_qec_map(builtin_polynomial("933"), f), id="eval_qec_map"),
         pytest.param(lambda f: run_chain(ChainPlan(1, ("913", "923", "933")), f), id="run_chain"),
