@@ -211,7 +211,7 @@ def _cmd_repro(args) -> int:
 
     import json
 
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    (outdir / "manifest.json").write_bytes((json.dumps(manifest, indent=2) + "\n").encode())
     sys.stderr.write(f"wrote {len(manifest)} tables to {outdir.resolve()}\n")
     return 0
 

@@ -282,4 +282,4 @@ def parse_code_text(text: str) -> StabilizerCode:
 
 
 def load_code(path) -> StabilizerCode:
-    return parse_code_text(Path(path).read_text())
+    return parse_code_text(Path(path).read_text(encoding="utf-8"))

@@ -2,6 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +78,26 @@ def test_codes_validate_code_file(capsys, tmp_path):
     path.write_text(FIVE_QUBIT_FILE.format(d=3).replace("name=five\n", ""))
     code, _, err = run_cli(capsys, "codes", "validate", str(path), "--distance")
     assert code == 2 and "missing header lines: name" in err
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    # a code name outside ASCII, read and written under the C locale with
+    # neither UTF-8 mode nor locale coercion: the same bytes as in UTF-8 mode
+    path = tmp_path / "five.txt"
+    path.write_bytes(FIVE_QUBIT_FILE.format(d=3).replace("name=five", "name=fivé").encode())
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    written = []
+    for locale_env in ({"PYTHONUTF8": "1"}, {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}):
+        out = tmp_path / f"checks{len(written)}.csv"
+        env = {**os.environ, **locale_env, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "entdist.cli", "codes", "validate", str(path), "--output", str(out)],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    assert written[0].splitlines()[1] == "fivé,shape,pass,".encode()
 
 
 def test_map_qec_single_point(capsys):

@@ -197,6 +197,51 @@ def test_float_columns_keep_17_digits():
     assert [float(r.split(",")[0]) for r in rows[:-1]] == values[:-1]
 
 
+def doubles(bits):
+    return np.asarray(bits, dtype=np.uint64).view(np.float64)
+
+
+def float_cases():
+    """(name, float array) pairs whose CSV cells must be format(v, ".17g")."""
+    rng = np.random.default_rng(17)
+    # any 64 bits: subnormals, NaN payloads and the specials among them
+    specials = [0, 2**63, 0x7FF0 << 48, 0xFFF0 << 48, 0x7FF8 << 48 | 1, 0x7FF0 << 48 | 5, 1, 2**52 - 1]
+    bit_patterns = doubles(np.concatenate([rng.integers(0, 2**64, 10**5, dtype=np.uint64), specials]))
+    # sign, exponent from 2^-17 to 2^60 and any mantissa: mostly inside [1e-4, 1e17)
+    exponents = rng.integers(1023 - 17, 1023 + 61, 10**5).astype(np.uint64)
+    window = doubles(
+        rng.integers(0, 2, 10**5, dtype=np.uint64) << np.uint64(63)
+        | exponents << np.uint64(52)
+        | rng.integers(0, 2**52, 10**5, dtype=np.uint64)
+    )
+    # exact halves at the 17th digit: round half to even
+    k = np.arange(4096)
+    ties = np.concatenate([(2.0**52 + k) / 4, -(2.0**50 + k) / 8])
+    powers = np.array([float(f"1e{p}") for p in range(-12, 18)] + [1e-4, 1e17])
+    powers = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf), -powers])
+    float32 = rng.integers(0, 2**32, 20000, dtype=np.uint32).view(np.float32)
+    # a column of more than one block, in and out of the window
+    mixed = np.concatenate([window[: 2 * _output._BLOCK], bit_patterns[:2000], [0.0, -0.0, math.inf, math.nan]])
+    return [
+        ("bit_patterns", bit_patterns),
+        ("window", window),
+        ("ties", ties),
+        ("powers_of_ten", powers),
+        ("float32", np.concatenate([float32, window[:20000].astype(np.float32)])),
+        ("float16", np.arange(2**16, dtype=np.uint16).view(np.float16)),  # every float16
+        ("mixed_blocks", rng.permutation(mixed)),
+    ]
+
+
+@pytest.mark.parametrize("values", [pytest.param(values, id=name) for name, values in float_cases()])
+def test_float_cells_are_format_17g(values):
+    # the array's own precision widened exactly to a double, as % does
+    text = render({"x": values, "y": values[::-1]})
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    assert [r[0] for r in rows] == [format(v, ".17g") for v in values.tolist()]
+    assert [r[1] for r in rows] == [format(v, ".17g") for v in values[::-1].tolist()]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_unequal_columns_raise(fmt, tmp_path):
     table = {"a": [1, 2], "b": np.zeros(3)}
