@@ -208,6 +208,11 @@ def write_table(path, table, fmt: str = "csv") -> None:
         raise FileNotFoundError(f"output directory {directory} does not exist")
     fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=f".{path.name}.", suffix=".tmp")
     try:
+        # mkstemp makes the file 0600 and the rename keeps that mode: give it
+        # the mode a plain open() would, as for manifest.json
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(pieces)
         os.replace(tmp_name, path)

@@ -49,9 +49,11 @@ def _table_path(output, key: str) -> Path:
 def _write(args, tables: dict) -> None:
     """Write a subcommand's tables (file-name key -> table) to the paths
     :func:`_table_path` gives for ``--output``; without ``--output``, to
-    stdout one blank line apart."""
+    stdout one blank line apart, as UTF-8 bytes whatever the locale."""
     if args.output is None:
-        sys.stdout.write("\n".join(_output.render(t, args.format) for t in tables.values()))
+        text = "\n".join(_output.render(t, args.format) for t in tables.values())
+        sys.stdout.flush()  # what the text layer holds goes first
+        sys.stdout.buffer.write(text.encode())
         return
     for key, table in tables.items():
         _output.write_table(_table_path(args.output, key), table, args.format)

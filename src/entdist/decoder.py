@@ -21,7 +21,12 @@ enumeration is the pair of n-bit masks mx = m >> n (x bits) and
 mz = m & (2^n - 1) (z bits), qubit 0 at the most significant bit of each;
 a stabilizer or logical operator is an (ox, oz) pair of masks in the same
 bit order.  The error anticommutes with the operator iff
-(mx & oz) ^ (mz & ox) has odd parity, read from a 2^n parity table.
+parity(mx & oz) ^ parity(mz & ox) is 1: syndromes are linear, so the
+syndrome table of all 4^n errors is the (2^n, 2^n) outer XOR of one
+2^n-entry table per half.  The leader of a syndrome is its error of
+least key (w << 2n) | m: least weight w, then least index, the first in
+canonical order.  An error is corrected iff its logical syndrome equals
+its leader's.
 """
 
 from __future__ import annotations
@@ -56,27 +61,16 @@ def _popcount(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _pauli_enumeration(n: int):
-    """All 4^n unsigned Paulis as packed masks, in canonical order.
-
-    Returns (mx, mz, w, order): the x and z masks of every index m as
-    uint16 (mx = m >> n, mz = m & (2^n - 1), qubit 0 most significant),
-    the uint8 weights and the canonical order.  Ascending m is exactly the
-    canonical tie-break within a weight, so a stable sort by weight gives
-    the full canonical order.  Refused above 10 qubits, before anything is
-    allocated: the cached arrays take 4^n * 13 bytes, about 14 MB at
-    n = 10.
-    """
+def _weights(n: int) -> np.ndarray:
+    """Weight of every error index m as uint8, popcount(mx | mz).  Refused
+    above 10 qubits, before anything is allocated: the cached array takes
+    4^n bytes, 1 MB at n = 10, and each syndrome table four times that."""
     if n > 10:
         raise ValueError(f"exhaustive decoding supports n <= 10 qubits, got n={n}")
-    m = np.arange(4**n, dtype=np.uint32)
-    mx = (m >> n).astype(np.uint16)
-    mz = (m & (2**n - 1)).astype(np.uint16)
-    w = _popcount(n)[mx | mz]
-    order = np.argsort(w, kind="stable")
-    for arr in (mx, mz, w, order):
-        arr.setflags(write=False)
-    return mx, mz, w, order
+    v = np.arange(2**n, dtype=np.uint16)
+    w = _popcount(n)[np.bitwise_or.outer(v, v)].ravel()
+    w.setflags(write=False)
+    return w
 
 
 def _mask(bits: int, n: int) -> int:
@@ -85,17 +79,20 @@ def _mask(bits: int, n: int) -> int:
     return int(f"{bits:0{n}b}"[::-1], 2)
 
 
-def _syndromes(mx, mz, ops: tuple[PauliString, ...], n: int) -> np.ndarray:
-    """Packed syndrome of every error against ``ops`` as int32, operator 0
-    at the most significant bit: bit set iff the error anticommutes."""
+def _syndromes(ops: tuple[PauliString, ...], n: int) -> np.ndarray:
+    """Packed syndrome of every error index m against ``ops`` as int32,
+    operator 0 at the most significant bit: bit set iff the error
+    anticommutes.  One outer XOR of the x-half and z-half tables."""
     if len(ops) > 31:
         raise ValueError(f"at most 31 operators fit a packed syndrome, got {len(ops)}")
     parity = _popcount(n) & 1
-    sid = np.zeros(mx.shape, dtype=np.int32)
+    v = np.arange(2**n, dtype=np.uint16)
+    sx = np.zeros(2**n, dtype=np.int32)
+    sz = np.zeros(2**n, dtype=np.int32)
     for p in ops:
-        sid <<= 1
-        sid |= parity[(mx & _mask(p.z, n)) ^ (mz & _mask(p.x, n))]
-    return sid
+        sx = (sx << 1) | parity[v & _mask(p.z, n)]
+        sz = (sz << 1) | parity[v & _mask(p.x, n)]
+    return np.bitwise_xor.outer(sx, sz).ravel()
 
 
 @dataclass(eq=False)
@@ -112,7 +109,7 @@ class LookupTable:
 
 
 def build_lookup_table(code: StabilizerCode) -> LookupTable:
-    """Enumerate all 4^n errors and store the first per syndrome.
+    """Enumerate all 4^n errors and store the least-key one per syndrome.
 
     The code is validated first; full stabilizer rank guarantees every one
     of the 2^(n-k) syndromes is reached.
@@ -122,14 +119,15 @@ def build_lookup_table(code: StabilizerCode) -> LookupTable:
         failed = ", ".join(c.name for c in report.failures())
         raise ValueError(f"code {code.name!r} failed validation: {failed}")
     n, m_s = code.n, code.n - code.k
-    mx, mz, _, order = _pauli_enumeration(n)
-    syn_ids = _syndromes(mx, mz, code.stabilizers, n)
-    # the syndromes that occur, ascending, and where each first occurs;
-    # n - k <= 10 bits fit uint16, which numpy's stable sort radix-sorts
-    unique_ids, first_pos = np.unique(syn_ids[order].astype(np.uint16), return_index=True)
-    if len(unique_ids) != 2**m_s:
+    w = _weights(n)
+    syn_ids = _syndromes(code.stabilizers, n)
+    # weight (at most 10, 4 bits) above the 2n-bit index: at most 24 bits
+    keys = (w.astype(np.uint32) << 2 * n) | np.arange(4**n, dtype=np.uint32)
+    best = np.full(2**m_s, np.iinfo(np.uint32).max, dtype=np.uint32)
+    np.minimum.at(best, syn_ids, keys)
+    if (best == np.iinfo(np.uint32).max).any():
         raise AssertionError("incomplete syndrome coverage despite full rank")
-    leaders = order[first_pos]  # index m of each syndrome's leader, syndrome 0 first
+    leaders = (best & (4**n - 1)).astype(np.intp)  # index m of each syndrome's leader
     return LookupTable(code, leaders, syn_ids)
 
 
@@ -152,11 +150,11 @@ def logical_fidelity_polynomial(code: StabilizerCode) -> LogicalFidelityPolynomi
     the corrected ones by weight."""
     lut = build_lookup_table(code)
     n = code.n
-    mx, mz, w, _ = _pauli_enumeration(n)
-    # lut.syndromes is aligned with the same enumeration
-    leader = lut.leaders[lut.syndromes]
-    corrected = _syndromes(mx ^ mx[leader], mz ^ mz[leader], code.logical_x + code.logical_z, n) == 0
-    counts = np.bincount(w[corrected], minlength=n + 1)
+    logical = _syndromes(code.logical_x + code.logical_z, n)
+    # syndromes are linear: error ^ leader is logically trivial iff the two
+    # logical syndromes agree (lut.syndromes is aligned with the enumeration)
+    corrected = logical == logical[lut.leaders][lut.syndromes]
+    counts = np.bincount(_weights(n)[corrected], minlength=n + 1)
     return LogicalFidelityPolynomial(code.name, n, code.k, tuple(int(c) for c in counts))
 
 
@@ -179,9 +177,9 @@ def code_distance(code: StabilizerCode) -> int:
     """Minimum weight over operators that commute with every stabilizer
     but act nontrivially on some logical qubit (exhaustive; n <= 10)."""
     n = code.n
-    mx, mz, w, _ = _pauli_enumeration(n)
-    in_centralizer = _syndromes(mx, mz, code.stabilizers, n) == 0
-    candidates = in_centralizer & (_syndromes(mx, mz, code.logical_x + code.logical_z, n) != 0)
+    w = _weights(n)
+    in_centralizer = _syndromes(code.stabilizers, n) == 0
+    candidates = in_centralizer & (_syndromes(code.logical_x + code.logical_z, n) != 0)
     if not candidates.any():
         raise ValueError("code has no logical operators (k = 0?)")
     return int(w[candidates].min())

@@ -174,11 +174,11 @@ def test_criterion_09_rate_accounting_exact():
 
 
 def test_criterion_10_probability_conservation():
-    from entdist.decoder import _pauli_enumeration
+    from entdist.decoder import _weights
 
     worst_qec = 0.0
     for name in ("913", "923", "933"):
-        _, _, w, _ = _pauli_enumeration(9)
+        w = _weights(9)
         for f in (0.3, 0.7, 0.95):
             total = float(np.sum(f ** (9 - w) * ((1.0 - f) / 3.0) ** w))
             worst_qec = max(worst_qec, abs(total - 1.0))

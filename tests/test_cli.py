@@ -80,24 +80,43 @@ def test_codes_validate_code_file(capsys, tmp_path):
     assert code == 2 and "missing header lines: name" in err
 
 
-def test_files_are_utf8_whatever_the_locale(tmp_path):
-    # a code name outside ASCII, read and written under the C locale with
-    # neither UTF-8 mode nor locale coercion: the same bytes as in UTF-8 mode
+C_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+def run_validate(tmp_path, locale_env, *extra):
+    """``codes validate`` on a five-qubit code file named ``fivé``, in a
+    subprocess under ``locale_env``."""
     path = tmp_path / "five.txt"
     path.write_bytes(FIVE_QUBIT_FILE.format(d=3).replace("name=five", "name=fivé").encode())
     src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, **locale_env, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-m", "entdist.cli", "codes", "validate", str(path), *extra],
+        env=env, capture_output=True, timeout=120,
+    )
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    # a code name outside ASCII, read and written under the C locale with
+    # neither UTF-8 mode nor locale coercion: the same bytes as in UTF-8 mode
     written = []
-    for locale_env in ({"PYTHONUTF8": "1"}, {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}):
+    for locale_env in ({"PYTHONUTF8": "1"}, C_LOCALE):
         out = tmp_path / f"checks{len(written)}.csv"
-        env = {**os.environ, **locale_env, "PYTHONPATH": src}
-        proc = subprocess.run(
-            [sys.executable, "-m", "entdist.cli", "codes", "validate", str(path), "--output", str(out)],
-            env=env, capture_output=True, timeout=120,
-        )
+        proc = run_validate(tmp_path, locale_env, "--output", str(out))
         assert proc.returncode == 0, proc.stderr
         written.append(out.read_bytes())
     assert written[0] == written[1]
     assert written[0].splitlines()[1] == "fivé,shape,pass,".encode()
+
+
+def test_stdout_is_utf8_whatever_the_locale(tmp_path):
+    # stdout and --output get the same bytes, under the C locale too
+    out = tmp_path / "checks.csv"
+    assert run_validate(tmp_path, C_LOCALE, "--output", str(out)).returncode == 0
+    proc = run_validate(tmp_path, C_LOCALE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == out.read_bytes()
+    assert proc.stdout.splitlines()[1] == "fivé,shape,pass,".encode()
 
 
 def test_map_qec_single_point(capsys):
@@ -221,6 +240,13 @@ def test_repro_matches_golden_digests(repro_run):
         if hashlib.sha256((outdir / name).read_bytes()).hexdigest() != digest
     ]
     assert drifted == []
+
+
+def test_repro_tables_have_the_manifest_mode(repro_run):
+    _, _, outdir = repro_run
+    modes = {p.name: p.stat().st_mode for p in outdir.iterdir()}
+    assert len(modes) == 31
+    assert set(modes.values()) == {modes["manifest.json"]}
 
 
 def test_efficiency_switchpoints(capsys):

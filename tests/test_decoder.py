@@ -7,7 +7,7 @@ import pytest
 
 import bitmatrix_oracle as oracle
 from decoder_oracle import canonical_key, classify_error, entries, syndrome_of, weight
-from entdist.codes import StabilizerCode, builtin_code, builtin_names, validate_code
+from entdist.codes import StabilizerCode, builtin_code, builtin_names, load_code, validate_code
 from entdist.decoder import (
     build_lookup_table,
     builtin_polynomial,
@@ -39,14 +39,15 @@ def test_worked_syndrome_example():
 
 
 def test_enumeration_matches_canonical_order():
-    from entdist.decoder import _pauli_enumeration
+    from entdist.decoder import _weights
 
-    mx, mz, _, order = _pauli_enumeration(2)
+    # the leader key (weight, index m) orders the errors canonically
+    order = np.lexsort((np.arange(16), _weights(2)))
     enumerated = []
-    for idx in order:
-        # packed masks keep qubit 0 at the high bit
-        x = (int(mx[idx]) >> 1) | ((int(mx[idx]) & 1) << 1)
-        z = (int(mz[idx]) >> 1) | ((int(mz[idx]) & 1) << 1)
+    for idx in order.tolist():
+        # packed masks keep qubit 0 at the high bit: mx = m >> 2, mz = m & 3
+        x = ((idx >> 2) >> 1) | (((idx >> 2) & 1) << 1)
+        z = ((idx & 3) >> 1) | ((idx & 1) << 1)
         enumerated.append(PauliString(2, x, z))
     expected = sorted(
         (PauliString(2, x, z) for x in range(4) for z in range(4)), key=canonical_key
@@ -56,25 +57,25 @@ def test_enumeration_matches_canonical_order():
 
 @pytest.mark.parametrize("name", builtin_names())
 def test_packed_kernel_matches_bit_matrix_oracle(name):
-    from entdist.decoder import _pauli_enumeration, _syndromes
+    from entdist.decoder import _syndromes, _weights
 
     code = builtin_code(name)
     n = code.n
-    mx, mz, w, order = _pauli_enumeration(n)
-    xb, zb, w_ref, order_ref = oracle.enumeration(n)
+    w = _weights(n)
+    xb, zb, w_ref, _ = oracle.enumeration(n)
     assert np.array_equal(w, w_ref)
-    assert np.array_equal(order, order_ref)
     for ops in (code.stabilizers, code.logical_x + code.logical_z):
         ox, oz = oracle.bit_matrix(ops, n)
-        assert np.array_equal(_syndromes(mx, mz, ops, n), oracle.syndrome_ids(xb, zb, ox, oz))
+        sid = _syndromes(ops, n)
+        assert sid.dtype == np.int32
+        assert np.array_equal(sid, oracle.syndrome_ids(xb, zb, ox, oz))
 
 
 def test_packed_syndromes_match_scalar_syndrome_of():
-    from entdist.decoder import _pauli_enumeration, _syndromes
+    from entdist.decoder import _syndromes
 
     code = builtin_code("513")
-    mx, mz, _, _ = _pauli_enumeration(5)
-    sid = _syndromes(mx, mz, code.stabilizers, 5)
+    sid = _syndromes(code.stabilizers, 5)
     xb, zb, _, _ = oracle.enumeration(5)
     for m in range(4**5):
         x = sum(int(b) << j for j, b in enumerate(xb[m]))
@@ -125,17 +126,89 @@ def test_lookup_consistency_on_random_errors(luts):
 
 def test_coset_leaders_have_minimum_weight(luts):
     # the stored correction is never heavier than any same-syndrome error
-    from entdist.decoder import _pauli_enumeration, _syndromes
+    from entdist.decoder import _syndromes, _weights
 
     for name, lut in luts.items():
         code = builtin_code(name)
-        mx, mz, w, _ = _pauli_enumeration(code.n)
-        sid = _syndromes(mx, mz, code.stabilizers, code.n)
+        w = _weights(code.n)
+        sid = _syndromes(code.stabilizers, code.n)
         min_w = np.full(2 ** (code.n - code.k), code.n + 1, dtype=np.int64)
         np.minimum.at(min_w, sid, w)
         xb, zb, _, _ = oracle.enumeration(code.n)
         stored_w = (xb[lut.leaders] | zb[lut.leaders]).sum(axis=1)
         assert np.array_equal(stored_w, min_w)
+
+
+def _oracle_leaders(code):
+    """Index m of the first error per syndrome, syndrome 0 first, walking
+    the bit-matrix oracle's canonical order."""
+    xb, zb, _, order = oracle.enumeration(code.n)
+    ox, oz = oracle.bit_matrix(code.stabilizers, code.n)
+    sid = oracle.syndrome_ids(xb, zb, ox, oz)
+    found, first = np.unique(sid[order], return_index=True)
+    assert np.array_equal(found, np.arange(2 ** (code.n - code.k)))
+    return order[first]
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_leaders_are_first_per_syndrome_in_canonical_order(luts, name):
+    # 240 of the 913 table's 256 syndromes have several minimum-weight
+    # errors: the tie-break (least index m) decides its A_w counts
+    assert np.array_equal(luts[name].leaders, _oracle_leaders(builtin_code(name)))
+
+
+FOUR_TWO_TWO_FILE = """name=four-two-two
+n=4
+k=2
+d=2
+H:
+XXXX
+ZZZZ
+X:
+XXII
+XIXI
+Z:
+ZIZI
+ZZII
+"""
+
+
+def test_code_file_leaders_are_first_per_syndrome_in_canonical_order(tmp_path):
+    # distance 2: every nonzero syndrome has several weight-1 errors
+    path = tmp_path / "four_two_two.txt"
+    path.write_text(FOUR_TWO_TWO_FILE)
+    code = load_code(path)
+    assert code.name not in builtin_names()
+    lut = build_lookup_table(code)
+    assert np.array_equal(lut.leaders, _oracle_leaders(code))
+    assert code_distance(code) == 2
+
+
+def test_ten_qubit_build_keys_use_24_bits():
+    # the 10-qubit bit-flip code: keys (w << 20) | m reach bit 23, and an x
+    # pattern and its complement share a syndrome, so weight must win over m
+    from entdist.decoder import _weights
+
+    n = 10
+    stabilizers = tuple(P("I" * i + "ZZ" + "I" * (n - 2 - i)) for i in range(n - 1))
+    code = StabilizerCode("rep10", n, 1, 1, stabilizers, (P("X" * n),), (P("Z" + "I" * (n - 1)),))
+    lut = build_lookup_table(code)
+    assert lut.leaders.dtype == np.intp and lut.syndromes.dtype == np.int32
+    # first per syndrome after a stable sort by weight: canonical order
+    order = np.argsort(_weights(n), kind="stable")
+    _, first = np.unique(lut.syndromes[order], return_index=True)
+    assert np.array_equal(lut.leaders, order[first])
+    rng = np.random.default_rng(10)
+    for m in rng.integers(0, 4**n, size=300).tolist():
+        e = PauliString(n, int(f"{m >> n:0{n}b}"[::-1], 2), int(f"{m & (2**n - 1):0{n}b}"[::-1], 2))
+        assert int(lut.syndromes[m]) == sum(b << (n - 2 - i) for i, b in enumerate(syndrome_of(code, e)))
+        assert int(_weights(n)[m]) == weight(e)
+    table = entries(lut)
+    assert len(table) == 2 ** (n - 1)
+    for syndrome, leader in table.items():
+        assert syndrome_of(code, leader) == syndrome
+        assert leader.z == 0 and weight(leader) <= n // 2
+    assert code_distance(code) == 1
 
 
 def test_classify_identity_corrected(luts):
@@ -244,11 +317,11 @@ def test_eval_qec_map_within_6_ulp_of_mpmath(name):
 
 
 def test_probability_conservation_direct_sum():
-    from entdist.decoder import _pauli_enumeration
+    from entdist.decoder import _weights
 
     for name in ("913", "923", "933"):
         n = builtin_code(name).n
-        _, _, w, _ = _pauli_enumeration(n)
+        w = _weights(n)
         for f in (0.3, 0.7, 0.95):
             total = np.sum(f ** (n - w) * ((1.0 - f) / 3.0) ** w)
             assert abs(total - 1.0) < 1e-12
@@ -302,11 +375,11 @@ def test_pseudo_threshold_933_near_reference_value(polys):
 
 
 def test_enumeration_refuses_more_than_ten_qubits():
-    from entdist.decoder import _pauli_enumeration
+    from entdist.decoder import _weights
 
-    # n = 11 only: unguarded, it would allocate about 190 MB
+    # n = 11 only: refused before its 4^11-entry tables are allocated
     with pytest.raises(ValueError, match="n <= 10"):
-        _pauli_enumeration(11)
+        _weights(11)
 
 
 def test_code_distance_matches_stored():

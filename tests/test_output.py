@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -183,6 +185,21 @@ def test_write_table_failing_after_first_block_leaves_no_file(tmp_path):
     # the cell fails while the temp file exists: blocks are streamed into it
     assert len(seen) == 1 and seen[0].startswith(".t.csv.") and seen[0].endswith(".tmp")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "umask, mode", [(0o022, 0o644), (0o002, 0o664), (0o077, 0o600)], ids=["022", "002", "077"]
+)
+def test_written_table_gets_the_mode_of_a_plain_open(tmp_path, umask, mode):
+    # mkstemp creates the temp file 0600 and the rename keeps that mode
+    old = os.umask(umask)
+    try:
+        write_table(tmp_path / "t.csv", {"x": [1]})
+        (tmp_path / "manifest.json").write_bytes(b"[]\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "t.csv").stat().st_mode) == mode
+    assert stat.S_IMODE((tmp_path / "manifest.json").stat().st_mode) == mode
 
 
 def test_float_columns_keep_17_digits():
