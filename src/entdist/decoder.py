@@ -166,10 +166,14 @@ def eval_qec_map(poly: LogicalFidelityPolynomial, f_in):
     """
     f = _in_range(f_in, what="input fidelity")
     e = (1.0 - f) / 3.0
-    out = np.zeros_like(f)
+    # in place on arrays; a 0-d f gives numpy scalars (the C library's pow)
+    out = np.zeros_like(f)[()]
     for w, a in enumerate(poly.counts):
         if a:
-            out = out + a * f ** (poly.n - w) * e**w
+            term = f ** (poly.n - w)  # a new array: f may be the caller's
+            term *= a
+            term *= e**w
+            out += term
     return _scalar(out)
 
 

@@ -45,10 +45,10 @@ def _scalar(out):
     return float(out) if out.ndim == 0 else out
 
 
-# Points per block of a _blocked kernel: one float64 temporary is 64 KiB,
-# half of glibc's default 128 KiB mmap threshold, so the temporaries are
-# reused from the heap whatever the allocation history.
-_BLOCK = 8192
+# Points per block of a _blocked kernel: the five float64 arrays a term
+# keeps alive take 1.25 MiB, which fits a 2 MiB L2.  Each exceeds glibc's
+# default 128 KiB mmap threshold, which glibc raises at the first free.
+_BLOCK = 32768
 
 
 # Threads a _blocked kernel deals its blocks to: one per CPU in the process's
@@ -64,11 +64,12 @@ def _blocked(kernel):
     evaluated in ``_BLOCK``-point blocks dealt round-robin to ``_THREADS``
     threads, the calling one taking share 0: numpy's loops release the GIL,
     and round-robin spreads a sorted grid's slow points (negative bases of
-    ``**``), which cluster.  Exact, because the kernels are elementwise and
-    block ``i`` writes ``out[i : i + _BLOCK]`` on whatever thread; scalars,
-    lists and small arrays go straight through.  If blocks fail, the first
-    failing block's error is raised once every thread has joined, as the
-    serial loop would raise it."""
+    ``**``), which cluster.  A block spreads numpy's per-call cost over
+    many points while its temporaries stay in L2.  Exact, because the
+    kernels are elementwise and block ``i`` writes ``out[i : i + _BLOCK]``
+    on whatever thread; scalars, lists and small arrays go straight through.
+    If blocks fail, the first failing block's error is raised once every
+    thread has joined, as the serial loop would raise it."""
 
     @wraps(kernel)
     def blocked(arg, f):
@@ -141,8 +142,13 @@ def swap_fidelity_uniform(f, n_swaps: int):
     F_eff = 1/4 + 3/4 * ((4F-1)/3)^(n_swaps+1).  n_swaps = 0 is the
     identity."""
     _check_count(n_swaps, "swap count")
-    w = (4.0 * _in_range(f) - 1.0) / 3.0
-    return _scalar(0.25 + 0.75 * w ** (n_swaps + 1))
+    w = 4.0 * _in_range(f)  # a new array or scalar, so in place from here
+    w -= 1.0
+    w /= 3.0
+    w = w ** (n_swaps + 1)
+    w *= 0.75
+    w += 0.25
+    return _scalar(w)
 
 
 @lru_cache(maxsize=1)

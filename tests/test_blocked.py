@@ -103,7 +103,7 @@ def test_eval_qec_map_blocks_match_whole_array_and_points(name, x, sample, monke
 @pytest.mark.parametrize(
     "make",
     [
-        lambda x: x[:-1].reshape(6, -1),  # 2-D, rows of 4,097 points straddling blocks
+        lambda x: x[:-1].reshape(6, -1),  # 2-D, rows of 16,385 points straddling blocks
         lambda x: np.concatenate([x, x])[::2],  # strided view
         lambda x: (x > 0.5).astype(int),  # int array of 0s and 1s
         lambda x: x.tolist(),  # long list
