@@ -143,8 +143,10 @@ def _cmd_purify(args) -> int:
         raise ValueError("rounds must be >= 1")
     # one array recurrence over every start column; rows run round-minor
     recurrence = purify._recurrence(args.protocol, start, args.rounds, twirled)
-    per_round = [np.stack([*comps, d, total, rate]) for d, comps, total, rate in recurrence]
-    values = np.stack(per_round).transpose(1, 2, 0).reshape(7, -1)  # (value, column * round)
+    values = np.empty((7, start[0].size, args.rounds))  # (value, column, round)
+    for r, (d, comps, total, rate) in enumerate(recurrence):
+        values[..., r] = (*comps, d, total, rate)
+    values = values.reshape(7, -1)  # a view: (value, column * round)
     table = {
         "f_in": np.repeat(start[0], args.rounds),
         "round": np.tile(np.arange(1, args.rounds + 1), start[0].size),

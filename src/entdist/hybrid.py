@@ -66,14 +66,27 @@ def builtin_threshold(code_name: str) -> float:
     return pseudo_threshold(builtin_polynomial(code_name))
 
 
-def _dejmps_trace(f_in):
+def _dejmps_trace(f_in: float):
     """Fidelities and cumulative discards of DEJMPS (no twirl) from a
-    depolarizing start, index i = after i rounds.  A float ``f_in`` gives
-    two lists of floats; a 1-D grid gives two lists of arrays, which stack
-    into (MAX_ROUNDS + 1, N) tables, one column per grid point."""
+    depolarizing start at a float ``f_in``: two lists of floats, index
+    i = after i rounds.  :func:`_dejmps_table` is the same on a grid."""
     rounds = list(_recurrence("dejmps", _depolarized(f_in), MAX_ROUNDS))
     # f_in * 0.0: a zero discard shaped like the input
     return [f_in] + [r[1][0] for r in rounds], [f_in * 0.0] + [r[2] for r in rounds]
+
+
+def _dejmps_table(grid: np.ndarray):
+    """:func:`_dejmps_trace` on a 1-D grid, bit for bit: (MAX_ROUNDS + 1, N)
+    float64 tables of fidelity and cumulative discard, row i = after i
+    rounds, one column per grid point.  Each round is written into its row
+    as it is made, so no round outlives the next."""
+    fids = np.empty((MAX_ROUNDS + 1, grid.size))
+    discards = np.empty_like(fids)
+    fids[0], discards[0] = grid, 0.0
+    recurrence = _recurrence("dejmps", _depolarized(grid), MAX_ROUNDS)
+    for i, (_, comps, p_total, _) in enumerate(recurrence, 1):
+        fids[i], discards[i] = comps[0], p_total
+    return fids, discards
 
 
 def _first_true(table: np.ndarray):
@@ -181,8 +194,8 @@ def default_scan_grid(points: int = 10000) -> np.ndarray:
 
 def checkpoint_scan(code_name: str = "933", grid=None) -> np.recarray:
     """Evaluate hybrid vs matching pure DEJMPS across a 1-D input grid, as
-    array ops on one (MAX_ROUNDS + 1, N) DEJMPS trace table: i_pre, i_match
-    and the baseline round are first rows meeting a bar.  Each point equals
+    array ops on the :func:`_dejmps_table` tables: i_pre, i_match and the
+    baseline round are first rows meeting a bar.  Each point equals
     :func:`hybrid_run` and :func:`refined_efficiency` on it, bit for bit.
 
     Returns a record array with one record per grid point and the fields
@@ -205,17 +218,23 @@ def checkpoint_scan(code_name: str = "933", grid=None) -> np.recarray:
     code = builtin_code(code_name)
     poly = builtin_polynomial(code_name)
     threshold = builtin_threshold(code_name)
-    fids, discards = (np.array(rows) for rows in _dejmps_trace(grid))
+    fids, discards = _dejmps_table(grid)
     cols = np.arange(grid.size)
 
     i_pre, reached = _first_true(fids >= threshold)
     if not reached.all():
         raise _unreachable(f"threshold {threshold:.6f}", grid[~reached][0])
-    d_table = distillable_entanglement(fids)
-    i_base, reached = _first_true(d_table >= BASELINE_D)
-    if not reached.all():
-        raise _unreachable(f"distillable entanglement {BASELINE_D}", grid[~reached][0])
-    d_base = d_table[i_base, cols]
+    # D row by row, each point keeping the first value that reaches the bar
+    d_base = distillable_entanglement(fids[0])
+    low = d_base < BASELINE_D
+    for row in fids[1:]:
+        if not low.any():
+            break
+        d = distillable_entanglement(row)
+        np.copyto(d_base, d, where=low)
+        low &= d < BASELINE_D
+    if low.any():
+        raise _unreachable(f"distillable entanglement {BASELINE_D}", grid[low][0])
 
     f_hybrid = eval_qec_map(poly, fids[i_pre, cols])
     ratio_hybrid = code.k / (2.0**i_pre * code.n)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +200,21 @@ def test_purify_sweep_matches_run_rounds(capsys, protocol, twirl):
                 [f, n, *rec.dist.as_tuple(), rec.p_discard, rec.p_total_discard, rec.rate]
             )
     assert rows == [[format_cell(v) for v in row] for row in expected]
+
+
+def test_purify_allocation_peak(tmp_path):
+    # one (7, N, rounds) float64 table, 2.8 MB at 10,000 points and 5
+    # rounds, filled round by round and never copied
+    out = str(tmp_path / "purify.csv")
+    argv = ["purify", "--protocol", "dejmps", "--rounds", "5", "--output", out]
+    assert main(argv + ["--grid", "0:1:10"]) == 0  # the parser and the writer warm
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9e6
 
 
 def test_purify_explicit_distribution_matches_run_rounds(capsys):

@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -214,6 +217,40 @@ def test_scan_equals_scalar_strategy_functions(grid, max_rounds, monkeypatch):
         d_base, rounds = baseline_distillable(p.f_in)
         assert d_base == distillable_entanglement(trace.fidelity_after(rounds))
     assert any(p.i_match is None for p in scan) == (max_rounds == 3)
+
+
+@pytest.mark.parametrize("max_rounds", [0, 3, 40])
+def test_dejmps_table_columns_are_the_float_trace(max_rounds, monkeypatch):
+    # 0.97 lies above the 933 threshold: zero rounds reach it
+    monkeypatch.setattr(hybrid, "MAX_ROUNDS", max_rounds)
+    grid = np.array([0.501, 0.6, 0.8, 0.97, 0.999])
+    fids, discards = hybrid._dejmps_table(grid)
+    assert fids.shape == discards.shape == (max_rounds + 1, grid.size)
+    assert fids.dtype == discards.dtype == np.float64
+    for j, f in enumerate(grid.tolist()):
+        trace_fids, trace_discards = hybrid._dejmps_trace(f)
+        assert [x.hex() for x in fids[:, j].tolist()] == [x.hex() for x in trace_fids]
+        assert [x.hex() for x in discards[:, j].tolist()] == [x.hex() for x in trace_discards]
+    if max_rounds == 40:  # the scalar functions keep returning Python numbers
+        assert [type(v) for v in astuple(hybrid_run(0.8))] == [
+            float, str, int, float, float, float, float, int
+        ]
+        assert [type(v) for v in baseline_distillable(0.6)] == [float, int]
+        assert type(min_rounds_to_fidelity(0.8, 0.95)) is int
+
+
+def test_scan_allocation_peak():
+    # two (MAX_ROUNDS + 1, N) float64 tables, 6.6 MB at 10,000 points, and
+    # D one round-row at a time
+    grid = default_scan_grid()
+    checkpoint_scan("933", grid[:10])  # threshold, polynomial and code caches
+    tracemalloc.start()
+    try:
+        checkpoint_scan("933", grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 def test_scan_round_gap(scan):
