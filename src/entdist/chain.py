@@ -6,9 +6,12 @@ every link; adjacent segments are then pairwise swapped, halving the
 segment count.  Round 2 distills the merged segments; all remaining
 segments are swapped into a single end-to-end link.  Round 3 distills end
 to end.  Because swaps multiply Werner parameters, the uniform-fidelity
-swap formula only needs the number of swaps inside each surviving segment,
-and depolarizing inputs stay depolarizing throughout, so the whole chain
-is an exact composition of single-round polynomial maps.
+swap formula only needs the number of swaps inside each surviving segment.
+A k = 1 code maps depolarizing input to depolarizing output exactly, so
+such a chain is an exact composition of single-round polynomial maps.  A
+k > 1 code (923, 933) does not, and two conventions bind only there: the
+block's all-k-correct fidelity is carried forward as each pair's fidelity,
+and each pair is twirled back to Werner before the next swap or round.
 
 Rate accounting follows the round-by-round matching recursion: the pairs
 produced by one round are replicated up to the least common multiple with

@@ -28,7 +28,7 @@ import numpy as np
 from .codes import builtin_code
 from .decoder import LogicalFidelityPolynomial, builtin_polynomial, eval_qec_map
 from .purify import _depolarized, _recurrence
-from .werner import _bisect, _in_range, distillable_entanglement
+from .werner import _bisect, distillable_entanglement
 
 __all__ = [
     "BASELINE_D",
@@ -38,8 +38,6 @@ __all__ = [
     "builtin_threshold",
     "min_rounds_to_fidelity",
     "hybrid_run",
-    "baseline_distillable",
-    "refined_efficiency",
     "checkpoint_scan",
     "default_scan_grid",
 ]
@@ -160,31 +158,6 @@ def hybrid_run(f_in: float, code_name: str = "933") -> HybridResult:
     return HybridResult(f_in, code.name, i_pre, fids[i_pre], f_out, rate, p_total, i_match)
 
 
-def baseline_distillable(f_in: float) -> tuple[float, int]:
-    """Denominator for the refined efficiency: D after the minimum number
-    of DEJMPS rounds lifting it to at least ``BASELINE_D`` (zero rounds
-    when already there).  Returns (D, rounds used)."""
-    d0 = distillable_entanglement(f_in)
-    if d0 >= BASELINE_D:
-        return d0, 0
-    ds = distillable_entanglement(_dejmps_trace(f_in)[0]).tolist()
-    i = _first_at_least(ds, BASELINE_D)
-    if i is None:
-        raise _unreachable(f"distillable entanglement {BASELINE_D}", f_in)
-    return ds[i], i
-
-
-def refined_efficiency(
-    f_in: float, f_out: float, output_ratio: float, p_total_discard: float
-) -> float:
-    """E of a strategy taking fidelity ``f_in`` to ``f_out`` with n_out/n_in
-    = ``output_ratio`` and total discard probability ``p_total_discard``."""
-    _in_range(output_ratio, what="output_ratio")
-    _in_range(p_total_discard, what="p_total_discard")
-    d_base, _ = baseline_distillable(f_in)
-    return float(_refined(output_ratio, f_out, d_base, p_total_discard))
-
-
 def default_scan_grid(points: int = 10000) -> np.ndarray:
     """10,000 uniform points on [0.501, 1).  The right endpoint is
     excluded: at F = 1 exactly, both strategies are no-ops and the
@@ -195,8 +168,8 @@ def default_scan_grid(points: int = 10000) -> np.ndarray:
 def checkpoint_scan(code_name: str = "933", grid=None) -> np.recarray:
     """Evaluate hybrid vs matching pure DEJMPS across a 1-D input grid, as
     array ops on the :func:`_dejmps_table` tables: i_pre, i_match and the
-    baseline round are first rows meeting a bar.  Each point equals
-    :func:`hybrid_run` and :func:`refined_efficiency` on it, bit for bit.
+    baseline round are first rows meeting a bar.  The hybrid columns equal
+    :func:`hybrid_run` bit for bit; a scalar test oracle checks ``eff_*``.
 
     Returns a record array with one record per grid point and the fields
     ``f_in, i_pre, i_match, f_out_dejmps, f_out_hybrid, rate_dejmps,

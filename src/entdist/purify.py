@@ -28,11 +28,8 @@ from .werner import _check_count
 __all__ = [
     "PROTOCOLS",
     "PauliDistribution",
-    "PurifyStep",
     "RoundRecord",
     "PurificationTrace",
-    "purify_step",
-    "twirl",
     "run_rounds",
 ]
 
@@ -89,16 +86,6 @@ class PauliDistribution:
         return self
 
 
-@dataclass(frozen=True)
-class PurifyStep:
-    """One protocol round: survivor components before renormalization,
-    the round's discard probability, and the renormalized distribution."""
-
-    raw: tuple[float, float, float, float]
-    p_discard: float
-    dist: PauliDistribution
-
-
 def _step(protocol: str, i, x, y, z):
     """One round on components that are all floats or all equal-shape
     arrays (plain arithmetic, so floats stay floats): the survivor
@@ -126,16 +113,6 @@ def _recurrence(protocol: str, comps, rounds: int, twirled: bool = False):
             comps = _depolarized(comps[0])
         p_total = p_total + (1.0 - p_total) * p_discard
         yield p_discard, comps, p_total, (1.0 - p_total) * 0.5**n
-
-
-def purify_step(protocol: str, dist: PauliDistribution) -> PurifyStep:
-    raw, kept, p_discard = _step(_check_protocol(protocol), *dist.validate().as_tuple())
-    return PurifyStep(raw, p_discard, PauliDistribution(*(v / kept for v in raw)))
-
-
-def twirl(dist: PauliDistribution) -> PauliDistribution:
-    """Werner twirl: keep P_I, spread the rest equally over X/Y/Z."""
-    return PauliDistribution(*_depolarized(dist.validate().p_i))
 
 
 @dataclass(frozen=True)

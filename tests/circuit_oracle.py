@@ -9,7 +9,7 @@ independent second path.
 """
 
 from entdist.pauli import PauliString, commutes_with
-from entdist.purify import PauliDistribution, PurifyStep, _check_protocol
+from entdist.purify import PauliDistribution, _check_protocol
 
 _LETTERS = "IXYZ"
 # R_X(+-pi/2) conjugation relabels the Y and Z error components (unsigned).
@@ -27,14 +27,19 @@ def _cnot_conjugate(p: PauliString) -> PauliString:
     return PauliString(2, p.x ^ (x0 << 1), p.z ^ z1)
 
 
-def circuit_oracle(protocol: str, dist: PauliDistribution) -> PurifyStep:
-    """Re-derive one protocol round from the circuit itself.
+def circuit_oracle(
+    protocol: str, dist: PauliDistribution
+) -> tuple[tuple[float, float, float, float], float, PauliDistribution]:
+    """Re-derive one protocol round from the circuit itself: the survivor
+    components before renormalization, the discard probability, and the
+    renormalized distribution.
 
     Each branch puts one Pauli on each noisy half (kept pair = qubit 0,
     measured pair = qubit 1), applies the DEJMPS pre-rotation relabeling
     when applicable, conjugates through the bilateral CNOT, and keeps the
     branch iff the propagated error commutes with the Z check on the
-    measured pair.  Must agree with :func:`entdist.purify.purify_step` exactly.
+    measured pair.  Must agree exactly with ``entdist.purify._step`` and
+    ``run_rounds(protocol, 1, dist=dist)``.
     """
     protocol = _check_protocol(protocol)
     dist.validate()
@@ -55,5 +60,4 @@ def circuit_oracle(protocol: str, dist: PauliDistribution) -> PurifyStep:
                 p_discard += pr
     raw = (acc["I"], acc["X"], acc["Y"], acc["Z"])
     kept = sum(raw)
-    out = PauliDistribution(*(v / kept for v in raw))
-    return PurifyStep(raw, p_discard, out)
+    return raw, p_discard, PauliDistribution(*(v / kept for v in raw))

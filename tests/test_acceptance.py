@@ -19,12 +19,7 @@ from entdist.convergence import check_identities, iterate
 from entdist.decoder import builtin_polynomial, eval_qec_map
 from entdist.efficiency import protocol_curves, switching_points
 from entdist.hybrid import builtin_threshold, checkpoint_scan, pseudo_threshold
-from entdist.purify import (
-    PROTOCOLS,
-    PauliDistribution,
-    purify_step,
-    run_rounds,
-)
+from entdist.purify import PROTOCOLS, PauliDistribution, _step, run_rounds
 from entdist.werner import distillable_entanglement
 from entdist.chain import ChainPlan, rate_accounting
 
@@ -91,9 +86,9 @@ def test_criterion_04_reference_trace_numbers():
 def test_criterion_05_closed_form_on_grid():
     worst = 0.0
     for f in np.linspace(0.01, 1.0, 100):
-        step = purify_step("bbpssw", PauliDistribution.from_fidelity(float(f)))
+        fid = run_rounds("bbpssw", 1, f_in=float(f)).fidelity_after(1)
         ref, _ = bbpssw_closed_form(float(f))
-        worst = max(worst, abs(step.dist.fidelity - ref))
+        worst = max(worst, abs(fid - ref))
     assert worst < 1e-12
     report(5, f"max deviation {worst:.2e} over 100 points")
 
@@ -106,12 +101,12 @@ def test_criterion_06_oracle_equivalence():
         total = sum(values)
         dist = PauliDistribution(*(v / total for v in values))
         for protocol in PROTOCOLS:
-            a = purify_step(protocol, dist)
-            b = circuit_oracle(protocol, dist)
+            raw, _, p_discard = _step(protocol, *dist.as_tuple())
+            raw_ref, p_discard_ref, _ = circuit_oracle(protocol, dist)
             worst = max(
                 worst,
-                abs(a.p_discard - b.p_discard),
-                max(abs(x - y) for x, y in zip(a.raw, b.raw)),
+                abs(p_discard - p_discard_ref),
+                max(abs(x - y) for x, y in zip(raw, raw_ref)),
             )
     assert worst < 1e-12
     report(6, f"200 random distributions, max deviation {worst:.2e}")
@@ -190,8 +185,8 @@ def test_criterion_10_probability_conservation():
         total = sum(values)
         dist = PauliDistribution(*(v / total for v in values))
         for protocol in PROTOCOLS:
-            step = purify_step(protocol, dist)
-            worst_1g = max(worst_1g, abs(sum(step.raw) + step.p_discard - 1.0))
+            raw, _, p_discard = _step(protocol, *dist.as_tuple())
+            worst_1g = max(worst_1g, abs(sum(raw) + p_discard - 1.0))
     assert worst_1g < 1e-15
     report(10, f"QEC sums off by {worst_qec:.1e}; 1G rounds off by {worst_1g:.1e}")
 

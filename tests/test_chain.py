@@ -12,6 +12,8 @@ from entdist.chain import (
     rate_accounting,
     run_chain,
 )
+from entdist.codes import builtin_code
+from entdist.decoder import _syndromes, _weights, build_lookup_table
 from entdist.werner import swap_fidelity_uniform
 
 P3 = ("913", "923", "933")
@@ -170,3 +172,49 @@ def test_chain_at_switch_fidelity():
     f_mid = run_chain(plan, 0.9474)
     assert 0.0 < f_mid < 1.0
     assert run_chain(plan, 0.9454) < f_mid < run_chain(plan, 0.9494)
+
+
+def _residual_class_counts(name):
+    """Over all 4^n errors, the logical class left on each logical pair
+    after correction, counted by error weight: one {"X", "Y", "Z"} dict of
+    per-weight counts per pair."""
+    code = builtin_code(name)
+    n, k = code.n, code.k
+    lut = build_lookup_table(code)
+
+    def residual(ops):  # syndromes are linear: error ^ leader
+        s = _syndromes(ops, n)
+        return s ^ s[lut.leaders][lut.syndromes]
+
+    flips_z, flips_x = residual(code.logical_z), residual(code.logical_x)
+    pairs = []
+    for j in range(k):  # operator 0 sits at the most significant bit
+        has_x = ((flips_z >> (k - 1 - j)) & 1).astype(bool)  # anticommutes with Z_L
+        has_z = ((flips_x >> (k - 1 - j)) & 1).astype(bool)  # anticommutes with X_L
+        classes = {"X": has_x & ~has_z, "Y": has_x & has_z, "Z": ~has_x & has_z}
+        pairs.append(
+            {c: np.bincount(_weights(n)[hit], minlength=n + 1).tolist() for c, hit in classes.items()}
+        )
+    return pairs
+
+
+@pytest.mark.parametrize("name", ["913", "513", "713"])
+def test_k1_decoders_keep_depolarizing_noise_depolarizing(name):
+    # equal X, Y and Z counts at every weight: depolarizing in, depolarizing
+    # out, so a k = 1 chain needs no twirl between rounds
+    (pair,) = _residual_class_counts(name)
+    assert pair["X"] == pair["Y"] == pair["Z"]
+    assert sum(pair["X"]) > 0
+
+
+def test_k_above_1_decoders_bias_the_logical_noise():
+    # the chain's two conventions for 923 and 933 (see the chain module):
+    # these unequal counts are why each pair is twirled back to Werner
+    weight_two = {
+        name: [tuple(pair[c][2] for c in "XYZ") for pair in _residual_class_counts(name)]
+        for name in ("923", "933")
+    }
+    assert weight_two == {
+        "923": [(51, 51, 55), (54, 58, 48)],
+        "933": [(54, 74, 62), (54, 74, 62), (54, 74, 58)],
+    }

@@ -8,17 +8,16 @@ from entdist import hybrid
 from entdist.codes import builtin_code
 from entdist.decoder import LogicalFidelityPolynomial, builtin_polynomial, eval_qec_map
 from entdist.hybrid import (
-    baseline_distillable,
     builtin_threshold,
     checkpoint_scan,
     default_scan_grid,
     hybrid_run,
     min_rounds_to_fidelity,
     pseudo_threshold,
-    refined_efficiency,
 )
 from entdist.purify import run_rounds
 from entdist.werner import distillable_entanglement
+from strategy_oracle import baseline_distillable, refined_efficiency
 
 
 @pytest.fixture(scope="module")
@@ -191,7 +190,7 @@ def test_scalar_strategy_functions_reject_nan():
     [(default_scan_grid(500), 40), (np.linspace(0.75, 0.999, 100), 3)],
 )
 def test_scan_equals_scalar_strategy_functions(grid, max_rounds, monkeypatch):
-    # the array scan against the per-point scalar functions, bit for bit;
+    # the array scan against hybrid_run and the scalar oracle, bit for bit;
     # the short-trace case leaves some points without a matching round
     monkeypatch.setattr(hybrid, "MAX_ROUNDS", max_rounds)
     code = builtin_code("933")
@@ -231,7 +230,7 @@ def test_dejmps_table_columns_are_the_float_trace(max_rounds, monkeypatch):
         trace_fids, trace_discards = hybrid._dejmps_trace(f)
         assert [x.hex() for x in fids[:, j].tolist()] == [x.hex() for x in trace_fids]
         assert [x.hex() for x in discards[:, j].tolist()] == [x.hex() for x in trace_discards]
-    if max_rounds == 40:  # the scalar functions keep returning Python numbers
+    if max_rounds == 40:  # the scalar paths keep returning Python numbers
         assert [type(v) for v in astuple(hybrid_run(0.8))] == [
             float, str, int, float, float, float, float, int
         ]

