@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _output, chain, codes, convergence, decoder, efficiency, hybrid, purify
-from .werner import _in_range
+from .werner import _check_count, _in_range
 
 __all__ = ["main", "build_parser"]
 
@@ -85,8 +85,7 @@ def _cmd_codes_validate(args) -> int:
     checked = []  # (code name, check result)
     for name in names:
         code = codes.load_code(name) if os.path.exists(name) else codes.builtin_code(name)
-        report = codes.validate_code(code, check_distance=args.distance)
-        checked += [(code.name, check) for check in report.checks]
+        checked += [(code.name, c) for c in codes.validate_code(code, check_distance=args.distance)]
     table = {"code": [name for name, _ in checked], **_check_columns([c for _, c in checked])}
     _write(args, {"": table})
     return 0 if all(check.passed for _, check in checked) else 1
@@ -110,9 +109,8 @@ def _cmd_map_chain(args) -> int:
 
 def _cmd_efficiency(args) -> int:
     labels = [lab.strip() for lab in args.protocols.split(",")]
-    grid = args.grid if args.grid is not None else efficiency.default_grid()
-    curves = efficiency.protocol_curves(args.repeaters, grid, labels)
-    table = {"f_in": grid, **{f"E_{c.label}": c.values for c in curves}}
+    curves = efficiency.protocol_curves(args.repeaters, args.grid, labels)
+    table = {"f_in": curves[0].grid, **{f"E_{c.label}": c.values for c in curves}}
     if args.envelope:
         table["E_envelope"], table["active_plan"] = efficiency.optimal_envelope(curves)
     tables = {"": table}
@@ -139,8 +137,7 @@ def _cmd_purify(args) -> int:
     else:
         grid = args.grid if args.grid is not None else np.linspace(0.0, 1.0, 10000)
         start = purify._depolarized(_in_range(grid))
-    if args.rounds < 1:
-        raise ValueError("rounds must be >= 1")
+    _check_count(args.rounds, "rounds", least=1)
     # one array recurrence over every start column; rows run round-minor
     recurrence = purify._recurrence(args.protocol, start, args.rounds, twirled)
     values = np.empty((7, start[0].size, args.rounds))  # (value, column, round)
@@ -157,8 +154,7 @@ def _cmd_purify(args) -> int:
 
 
 def _cmd_hybrid(args) -> int:
-    grid = args.grid if args.grid is not None else hybrid.default_scan_grid()
-    scan = hybrid.checkpoint_scan(args.code, grid)
+    scan = hybrid.checkpoint_scan(args.code, args.grid)
     table = {name.replace("eff_", "E_"): scan[name] for name in scan.dtype.names}
     _write(args, {"": table})
     return 0

@@ -16,7 +16,6 @@ from .pauli import PauliString, commutes_with
 __all__ = [
     "StabilizerCode",
     "CheckResult",
-    "CodeValidation",
     "builtin_code",
     "builtin_names",
     "validate_code",
@@ -150,35 +149,18 @@ class CheckResult:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class CodeValidation:
-    code_name: str
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
-
 def _gf2_rank(rows: list[int]) -> int:
-    rank = 0
-    basis: list[int] = []
-    for r in rows:
-        v = r
-        for b in basis:
-            v = min(v, v ^ b)
+    basis: dict[int, int] = {}  # leading bit (bit_length) -> the basis row with it
+    for v in rows:
+        while v.bit_length() in basis:  # 0 has bit_length 0, which is never a key
+            v ^= basis[v.bit_length()]
         if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-            rank += 1
-    return rank
+            basis[v.bit_length()] = v
+    return len(basis)
 
 
-def validate_code(code: StabilizerCode, check_distance: bool = False) -> CodeValidation:
-    """Check the structural invariants of a code and report per check.
+def validate_code(code: StabilizerCode, check_distance: bool = False) -> tuple[CheckResult, ...]:
+    """The structural invariants of a code, one named :class:`CheckResult` each.
 
     Checks: operator sizes and counts, mutual commutation of stabilizers,
     generator independence (symplectic rank n-k), logicals commuting with
@@ -202,7 +184,7 @@ def validate_code(code: StabilizerCode, check_distance: bool = False) -> CodeVal
     check("shape", sizes_ok and counts_ok,
           f"expected {n - k} stabilizers and {k}+{k} logicals on {n} qubits")
     if not sizes_ok:
-        return CodeValidation(code.name, tuple(checks))
+        return tuple(checks)
 
     bad = [
         (i, j)
@@ -239,7 +221,7 @@ def validate_code(code: StabilizerCode, check_distance: bool = False) -> CodeVal
         d_actual = code_distance(code)
         check("distance", d_actual == code.d, f"computed d={d_actual}, stored d={code.d}")
 
-    return CodeValidation(code.name, tuple(checks))
+    return tuple(checks)
 
 
 # ---------------------------------------------------------------------------

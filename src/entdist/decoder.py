@@ -114,9 +114,8 @@ def build_lookup_table(code: StabilizerCode) -> LookupTable:
     The code is validated first; full stabilizer rank guarantees every one
     of the 2^(n-k) syndromes is reached.
     """
-    report = validate_code(code)
-    if not report.passed:
-        failed = ", ".join(c.name for c in report.failures())
+    failed = ", ".join(c.name for c in validate_code(code) if not c.passed)
+    if failed:
         raise ValueError(f"code {code.name!r} failed validation: {failed}")
     n, m_s = code.n, code.n - code.k
     w = _weights(n)

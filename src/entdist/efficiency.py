@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .chain import ChainPlan, rate_accounting, run_chain
-from .werner import distillable_entanglement
+from .werner import _crossings, distillable_entanglement
 
 __all__ = [
     "PROTOCOL_SEQUENCES",
@@ -106,8 +106,6 @@ def protocol_curves(n_repeaters: int, grid=None, labels=None) -> list[Efficiency
     repeated = sorted({lab for lab in labels if labels.count(lab) > 1})
     if repeated:
         raise ValueError(f"repeated protocol label {', '.join(repeated)}")
-    if grid is None:
-        grid = default_grid()
     return [efficiency_curve(protocol_plan(lab, n_repeaters), grid, label=lab) for lab in labels]
 
 
@@ -132,7 +130,7 @@ def switching_points(curves) -> list[SwitchPoint]:
     points: list[SwitchPoint] = []
     for cur, nxt in zip(curves, curves[1:]):
         diff = nxt.values - cur.values
-        ups = np.flatnonzero((diff[1:] > 0.0) & (diff[:-1] <= 0.0))
+        ups = _crossings(diff)
         if ups.size:
             i = ups[0] + 1
             frac = -diff[i - 1] / (diff[i] - diff[i - 1])

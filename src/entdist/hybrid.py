@@ -28,7 +28,7 @@ import numpy as np
 from .codes import builtin_code
 from .decoder import LogicalFidelityPolynomial, builtin_polynomial, eval_qec_map
 from .purify import _depolarized, _recurrence
-from .werner import _bisect, distillable_entanglement
+from .werner import _root, distillable_entanglement
 
 __all__ = [
     "BASELINE_D",
@@ -51,12 +51,7 @@ def pseudo_threshold(poly: LogicalFidelityPolynomial) -> float:
     [0.8, 0.9999], by bisection on eval(F) - F to 1e-9.  Above it one QEC
     round improves fidelity; below, it degrades."""
     grid = np.linspace(0.8, 0.9999, 400)
-    g = eval_qec_map(poly, grid) - grid
-    ups = np.flatnonzero((g[1:] > 0.0) & (g[:-1] < 0.0))  # bisect the last upward crossing
-    if not ups.size:
-        raise ValueError("no fidelity fixed point inside [0.8, 0.9999]")
-    i = ups[-1]
-    return _bisect(lambda f: eval_qec_map(poly, f) - f, float(grid[i]), float(grid[i + 1]), 1e-9)
+    return _root(lambda f: eval_qec_map(poly, f) - f, grid, 1e-9, "fidelity fixed point")
 
 
 @lru_cache(maxsize=None)
@@ -168,8 +163,9 @@ def default_scan_grid(points: int = 10000) -> np.ndarray:
 def checkpoint_scan(code_name: str = "933", grid=None) -> np.recarray:
     """Evaluate hybrid vs matching pure DEJMPS across a 1-D input grid, as
     array ops on the :func:`_dejmps_table` tables: i_pre, i_match and the
-    baseline round are first rows meeting a bar.  The hybrid columns equal
-    :func:`hybrid_run` bit for bit; a scalar test oracle checks ``eff_*``.
+    baseline round are first rows meeting a bar.  ``i_pre``, ``i_match``
+    and ``rate_hybrid`` equal :func:`hybrid_run`'s, ``f_out_hybrid`` to 1
+    ulp (array against scalar ``**``); a scalar test oracle checks ``eff_*``.
 
     Returns a record array with one record per grid point and the fields
     ``f_in, i_pre, i_match, f_out_dejmps, f_out_hybrid, rate_dejmps,

@@ -33,11 +33,11 @@ def _in_range(x, what="fidelity"):
     return x
 
 
-def _check_count(n, what):
-    """Raises unless ``n`` is a whole number >= 0.  The test is negated, so
-    that NaN fails it too; inf fails it before ``int`` sees it."""
-    if not (0 <= n < math.inf and n == int(n)):
-        raise ValueError(f"{what} must be >= 0 and whole, got {n}")
+def _check_count(n, what, least=0):
+    """Raises unless ``n`` is a whole number >= ``least``.  The test is
+    negated, so that NaN fails it too; inf fails it before ``int`` sees it."""
+    if not (least <= n < math.inf and n == int(n)):
+        raise ValueError(f"{what} must be >= {least} and whole, got {n}")
 
 
 def _scalar(out):
@@ -109,9 +109,21 @@ def _blocked(kernel):
     return blocked
 
 
-def _bisect(g, lo, hi, tol):
-    """Midpoint of the bracket [lo, hi] shrunk below ``tol`` around the
-    sign change of ``g``: ``g(mid) < 0`` moves ``lo``, anything else ``hi``."""
+def _crossings(g):
+    """Indices i of the cells [i, i + 1] of a sampled ``g`` where it goes
+    from <= 0 to > 0."""
+    return np.flatnonzero((g[:-1] <= 0.0) & (g[1:] > 0.0))
+
+
+def _root(g, grid, tol, what):
+    """Root of ``g`` in the last cell of ``grid`` where ``g`` goes from <= 0
+    to > 0: the midpoint of that cell shrunk below ``tol`` by bisection,
+    ``g(mid) < 0`` moving its left end and anything else its right."""
+    grid = np.asarray(grid, dtype=float)
+    ups = _crossings(g(grid))
+    if not ups.size:
+        raise ValueError(f"no {what} inside [{grid[0]}, {grid[-1]}]")
+    lo, hi = float(grid[ups[-1]]), float(grid[ups[-1] + 1])
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if g(mid) < 0.0:
@@ -155,4 +167,4 @@ def swap_fidelity_uniform(f, n_swaps: int):
 def hashing_threshold() -> float:
     """Fidelity at which D_H crosses zero (about 0.8107), by bisection
     to 1e-12."""
-    return _bisect(distillable_entanglement, 0.75, 0.9, 1e-12)
+    return _root(distillable_entanglement, [0.75, 0.9], 1e-12, "zero of D_H")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from entdist.chain import rate_accounting, run_chain
 from entdist.efficiency import (
     EfficiencyCurve,
     efficiency_curve,
@@ -11,6 +12,7 @@ from entdist.efficiency import (
     protocol_plan,
     switching_points,
 )
+from entdist.werner import _crossings, _root
 
 REFERENCE_SWITCH_POINTS = {
     1: (0.9343, 0.9356, 0.9655),
@@ -64,6 +66,28 @@ def test_switching_points_one_repeater(curves_1r):
     ]
     for point, expected in zip(points, REFERENCE_SWITCH_POINTS[1]):
         assert abs(point.fidelity - expected) < 3e-3
+
+
+@pytest.mark.parametrize("n_repeaters", [1, 3, 5])
+def test_switching_point_interpolation_error(n_repeaters):
+    # each interpolated crossing against the exact efficiency difference
+    # bisected to 1e-15 in the same grid cell; the worst of the nine is
+    # 9.5e-8 (5 repeaters, P3 -> P4)
+    def efficiency(label, f):
+        plan = protocol_plan(label, n_repeaters)
+        return efficiency_value(rate_accounting(plan).rate, f, run_chain(plan, f))
+
+    curves = protocol_curves(n_repeaters)
+    points = switching_points(curves)
+    assert len(points) == 3
+    for cur, nxt, point in zip(curves, curves[1:], points):
+        i = _crossings(nxt.values - cur.values)[0]
+        exact = _root(
+            lambda f: efficiency(nxt.label, f) - efficiency(cur.label, f),
+            cur.grid[i : i + 2], 1e-15, "switching point",
+        )
+        assert (point.from_plan, point.to_plan) == (cur.label, nxt.label)
+        assert abs(point.fidelity - exact) <= 2e-7
 
 
 def test_switching_points_shift_right_with_repeaters():

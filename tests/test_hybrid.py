@@ -16,7 +16,7 @@ from entdist.hybrid import (
     pseudo_threshold,
 )
 from entdist.purify import run_rounds
-from entdist.werner import distillable_entanglement
+from entdist.werner import distillable_entanglement, hashing_threshold
 from strategy_oracle import baseline_distillable, refined_efficiency
 
 
@@ -30,10 +30,17 @@ def test_threshold_933_in_reference_window():
 
 
 def test_thresholds_bit_for_bit():
-    from entdist.werner import hashing_threshold
-
     assert repr(hashing_threshold()) == "0.8107103750849092"
     assert repr(builtin_threshold("933")) == "0.9563232785941963"
+    assert hashing_threshold().hex() == "0x1.9f156e2709000p-1"
+    pinned = {
+        "913": "0x1.b988e142e0b26p-1",
+        "513": "0x1.b988e142e0b26p-1",
+        "923": "0x1.e469a8fbf125ep-1",
+        "933": "0x1.e9a3346bee5f3p-1",
+        "713": "0x1.d67c6f06eeb21p-1",
+    }
+    assert {name: pseudo_threshold(builtin_polynomial(name)).hex() for name in pinned} == pinned
 
 
 def test_pseudo_threshold_needs_a_crossing_in_the_bracket():
@@ -216,6 +223,18 @@ def test_scan_equals_scalar_strategy_functions(grid, max_rounds, monkeypatch):
         d_base, rounds = baseline_distillable(p.f_in)
         assert d_base == distillable_entanglement(trace.fidelity_after(rounds))
     assert any(p.i_match is None for p in scan) == (max_rounds == 3)
+
+
+@pytest.mark.parametrize("name", ["913", "923", "933"])
+def test_scan_hybrid_columns_match_hybrid_run(name):
+    # on the full default grid: the round counts and the rate exactly, the
+    # QEC output to 1 ulp, since eval_qec_map's ** rounds a scalar and an
+    # array differently (913 differs at 14 points)
+    scan = checkpoint_scan(name, default_scan_grid())
+    for p in scan:
+        res = hybrid_run(p.f_in, name)
+        assert (p.i_pre, p.i_match, p.rate_hybrid) == (res.i_pre, res.i_match, res.rate)
+        assert abs(p.f_out_hybrid - res.f_out) <= np.spacing(res.f_out)
 
 
 @pytest.mark.parametrize("max_rounds", [0, 3, 40])

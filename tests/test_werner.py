@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from closed_form_oracle import swap_fidelity
 from entdist.chain import ChainPlan, run_chain
 from entdist.decoder import builtin_polynomial, eval_qec_map
-from entdist.werner import distillable_entanglement, hashing_threshold, swap_fidelity_uniform
+from entdist.werner import _root, distillable_entanglement, hashing_threshold, swap_fidelity_uniform
 
 fidelities = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -66,6 +66,23 @@ def test_hashing_threshold_location():
     thr = hashing_threshold()
     assert abs(thr - 0.81071) < 1e-4
     assert distillable_entanglement(thr - 1e-6) < 0.0 < distillable_entanglement(thr + 1e-6)
+
+
+def test_root_finds_a_zero_on_a_grid_point():
+    # g is exactly 0 at the grid point 0.5 and rises after it: the cell
+    # [0.5, 1] starts at <= 0, so the crossing is found
+    root = _root(lambda f: f - 0.5, [0.0, 0.5, 1.0], 1e-12, "zero")
+    assert 0.5 <= root < 0.5 + 1e-12
+
+
+def test_root_takes_the_last_crossing():
+    root = _root(lambda f: np.cos(4.0 * np.pi * f), np.linspace(0.0, 1.0, 11), 1e-12, "zero")
+    assert abs(root - 0.875) < 1e-12
+
+
+def test_root_without_a_crossing_names_what_it_looked_for():
+    with pytest.raises(ValueError, match=r"no widget inside \[0.0, 1.0\]"):
+        _root(lambda f: f - 2.0, np.linspace(0.0, 1.0, 5), 1e-12, "widget")
 
 
 def test_swap_examples():
