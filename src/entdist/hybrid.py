@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -62,7 +63,8 @@ def builtin_threshold(code_name: str) -> float:
 def _dejmps_trace(f_in: float):
     """Fidelities and cumulative discards of DEJMPS (no twirl) from a
     depolarizing start at a float ``f_in``: two lists of floats, index
-    i = after i rounds.  :func:`_dejmps_table` is the same on a grid."""
+    i = after i rounds.  :func:`_dejmps_table` is the same on a grid.
+    Callers: :func:`hybrid_run` and ``tests/strategy_oracle.py``."""
     rounds = list(_recurrence("dejmps", _depolarized(f_in), MAX_ROUNDS))
     # f_in * 0.0: a zero discard shaped like the input
     return [f_in] + [r[1][0] for r in rounds], [f_in * 0.0] + [r[2] for r in rounds]
@@ -115,7 +117,8 @@ def min_rounds_to_fidelity(f_in: float, target: float) -> int | None:
         return 0
     if f_in <= 0.5:
         return None
-    return _first_at_least(_dejmps_trace(f_in)[0], target)
+    rounds = _recurrence("dejmps", _depolarized(f_in), MAX_ROUNDS)  # lazy: stops at the answer
+    return _first_at_least(chain([f_in], (r[1][0] for r in rounds)), target)
 
 
 @dataclass(frozen=True)

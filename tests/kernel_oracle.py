@@ -5,6 +5,11 @@ their terms in place to keep few temporaries alive.  These are the same
 sums written out as single expressions, in the same operation order, so
 the tests can hold the in-place kernels to the same bits.  Nothing here
 checks its input range; the callers pass values in [0, 1].
+
+``distillable_entanglement`` is D_H with both F log F terms guarded by
+continuity: the reference for any rewrite of
+``werner.distillable_entanglement`` that drops a guard its (0, 1] range
+check makes dead.
 """
 
 import numpy as np
@@ -23,6 +28,17 @@ def eval_qec_map(poly, f_in):
         if a:
             out = out + a * f ** (poly.n - w) * e**w
     return _scalar(out)
+
+
+def distillable_entanglement(f):
+    """D_H = 1 + F log2 F + (1-F) log2((1-F)/3), each term 0 where its
+    factor is 0."""
+    f = np.asarray(f, dtype=float)
+    g = 1.0 - f
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term_f = np.where(f > 0.0, f * np.log2(np.where(f > 0.0, f, 1.0)), 0.0)
+        term_g = np.where(g > 0.0, g * np.log2(np.where(g > 0.0, g / 3.0, 1.0)), 0.0)
+    return _scalar(1.0 + term_f + term_g)
 
 
 def swap_fidelity_uniform(f, n_swaps):

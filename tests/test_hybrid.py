@@ -84,6 +84,43 @@ def test_min_rounds_basics(monkeypatch):
     assert min_rounds_to_fidelity(0.505, 0.999) is None
 
 
+def test_min_rounds_stops_at_its_round(monkeypatch):
+    consumed = []
+    recurrence = hybrid._recurrence
+
+    def counting(*args):
+        for r in recurrence(*args):
+            consumed.append(r)
+            yield r
+
+    monkeypatch.setattr(hybrid, "_recurrence", counting)
+    assert min_rounds_to_fidelity(0.85, 0.9563) == 2
+    assert len(consumed) == 2
+
+
+@pytest.mark.parametrize("max_rounds", [0, 3, 40])
+def test_min_rounds_is_the_first_trace_round(max_rounds, monkeypatch):
+    monkeypatch.setattr(hybrid, "MAX_ROUNDS", max_rounds)
+    rng = np.random.default_rng(24)
+    n = 1000
+    f = np.concatenate([
+        0.5 + rng.random(n) / 2,
+        np.nextafter(0.5, 1.0) + 10.0 ** -rng.uniform(1, 15, n),  # just above 0.5
+        [np.nextafter(0.5, 1.0), 1.0],
+    ])
+    target = np.concatenate([
+        np.nextafter(0.5, 1.0) + rng.random(n) / 2,
+        1.0 - 10.0 ** -rng.uniform(1, 15, n),  # within 1e-15 of 1 at the far end
+        [np.nextafter(1.0, 0.0)],
+    ])
+    types = set()
+    for fi, t in zip(rng.permutation(np.resize(f, 5000)).tolist(), np.resize(target, 5000).tolist()):
+        got = min_rounds_to_fidelity(fi, t)
+        assert got == hybrid._first_at_least(hybrid._dejmps_trace(fi)[0], t), (fi, t)
+        types.add(type(got))
+    assert types == {int, type(None)}
+
+
 def test_min_rounds_matches_trace_minimality():
     from entdist.purify import run_rounds
 

@@ -17,7 +17,7 @@ from entdist.chain import ChainPlan, run_chain
 from entdist.codes import builtin_names
 from entdist.decoder import builtin_polynomial, eval_qec_map
 from entdist.efficiency import PROTOCOL_SEQUENCES
-from entdist.werner import _BLOCK, swap_fidelity_uniform
+from entdist.werner import _BLOCK, distillable_entanglement, hashing_threshold, swap_fidelity_uniform
 from test_blocked import PLANS, _same_bytes, each_thread_count
 
 N = 3 * _BLOCK + 7
@@ -63,6 +63,15 @@ def test_swap_fidelity_uniform_matches_the_expression(n_swaps, x):
         lambda f: oracle.swap_fidelity_uniform(f, n_swaps),
         scalars(596),
     )
+
+
+def test_distillable_entanglement_matches_the_guarded_expression():
+    # at 1.0 only a guard keeps log2(0) out; 1e-310 and 5e-324 are subnormal
+    edges = [1.0, np.nextafter(1.0, 0.0), 5e-324, 1e-310, 1e-300, hashing_threshold(), 0.5]
+    f = np.concatenate([edges, 1.0 - np.random.default_rng(23).random(N)])  # in (0, 1]
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        _same_bytes(distillable_entanglement(f), oracle.distillable_entanglement(f))
+        _same_hex(distillable_entanglement, oracle.distillable_entanglement, f[:600].tolist())
 
 
 @pytest.mark.parametrize("plan", PLANS, ids=lambda p: p.label)
