@@ -49,14 +49,14 @@ class ChainPlan:
     rounds: tuple[str | None, str | None, str | None]
 
     def __post_init__(self):
-        _check_count(self.n_repeaters, "repeater count")
-        object.__setattr__(self, "n_repeaters", int(self.n_repeaters))  # 3.0 counts as 3
+        object.__setattr__(self, "n_repeaters", _check_count(self.n_repeaters, "repeater count"))
         if self.n_repeaters % 2 == 0 and self.n_repeaters != 0:
             raise ValueError(
                 f"repeater count must be 0 or odd, got {self.n_repeaters}"
             )
-        if len(self.rounds) != 3:
+        if isinstance(self.rounds, str) or len(self.rounds) != 3:
             raise ValueError("a plan has exactly 3 rounds")
+        object.__setattr__(self, "rounds", tuple(self.rounds))
 
     @property
     def segment_counts(self) -> tuple[int, int, int]:

@@ -74,7 +74,7 @@ def iterate(protocol: str, start, n_max: int) -> ConvergenceTrace:
     total = a0 + b0 + c0 + d0
     if not abs(total - 1.0) <= 1e-9:  # negated, so that NaN fails it too
         raise ValueError(f"hypothesis violated: components sum to {total}, expected 1")
-    _check_count(n_max, "n_max", least=1)
+    n_max = _check_count(n_max, "n_max", least=1)
 
     start = (a0, b0, c0, d0)
     rows = np.array([start] + [comps for _, comps, _, _ in _recurrence(protocol, start, n_max)])

@@ -91,8 +91,8 @@ def efficiency_curve(plan: ChainPlan, grid=None, label: str | None = None) -> Ef
     if grid is None:
         grid = default_grid()
     grid = np.asarray(grid, dtype=float)
-    if len(grid) < 2 or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("grid must be strictly increasing with at least 2 points")
+    if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0.0):
+        raise ValueError("grid must be 1-D and strictly increasing with at least 2 points")
     rate = rate_accounting(plan).rate
     f_out = run_chain(plan, grid)
     values = efficiency_value(rate, grid, f_out)

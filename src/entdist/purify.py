@@ -157,7 +157,7 @@ def run_rounds(
     every round.  The rate after round i is (1/2^i)(1 - P_total_discard).
     """
     protocol = _check_protocol(protocol)
-    _check_count(rounds, "rounds", least=1)
+    rounds = _check_count(rounds, "rounds", least=1)
     if (f_in is None) == (dist is None):
         raise ValueError("give exactly one of f_in or dist")
     initial = PauliDistribution.from_fidelity(f_in) if dist is None else dist.validate()

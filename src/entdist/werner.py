@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from functools import lru_cache, wraps
 
 import numpy as np
@@ -35,9 +34,11 @@ def _in_range(x, what="fidelity"):
 
 def _check_count(n, what, least=0):
     """Raises unless ``n`` is a whole number >= ``least``.  The test is
-    negated, so that NaN fails it too; inf fails it before ``int`` sees it."""
+    negated, so that NaN fails it too; inf fails it before ``int`` sees it.
+    Returns ``int(n)``, so that 3.0 counts as 3."""
     if not (least <= n < math.inf and n == int(n)):
         raise ValueError(f"{what} must be >= {least} and whole, got {n}")
+    return int(n)
 
 
 def _scalar(out):
@@ -51,8 +52,8 @@ def _scalar(out):
 _BLOCK = 32768
 
 
-# Threads a _blocked kernel deals its blocks to: one per CPU in the process's
-# affinity mask, read once at import.  With one CPU the blocks run serially.
+# Threads in a _blocked kernel's pool: one per CPU in the process's affinity
+# mask, read once at import.  With one CPU one worker runs the blocks serially.
 try:
     _THREADS = len(os.sched_getaffinity(0))
 except AttributeError:  # no affinity masks on this platform
@@ -61,49 +62,34 @@ except AttributeError:  # no affinity masks on this platform
 
 def _blocked(kernel):
     """``kernel(arg, f)`` over an array ``f`` of more than ``_BLOCK`` points,
-    evaluated in ``_BLOCK``-point blocks dealt round-robin to ``_THREADS``
-    threads, the calling one taking share 0: numpy's loops release the GIL,
-    and round-robin spreads a sorted grid's slow points (negative bases of
-    ``**``), which cluster.  A block spreads numpy's per-call cost over
-    many points while its temporaries stay in L2.  Exact, because the
-    kernels are elementwise and block ``i`` writes ``out[i : i + _BLOCK]``
-    on whatever thread; scalars, lists and small arrays go straight through.
-    If blocks fail, the first failing block's error is raised once every
-    thread has joined, as the serial loop would raise it."""
+    evaluated in ``_BLOCK``-point blocks on a pool of ``_THREADS`` threads,
+    each free thread taking the next block: numpy's loops release the GIL.
+    A block spreads numpy's per-call cost over many points while its
+    temporaries stay in L2.  Exact, because the kernels are elementwise and
+    block ``i`` writes ``out[i : i + _BLOCK]`` on whatever thread; scalars,
+    lists and small arrays go straight through.  Results are read in block
+    order, so the first failing block's error is raised, as the serial loop
+    would raise it, once every thread has joined."""
 
     @wraps(kernel)
     def blocked(arg, f):
         if not isinstance(f, np.ndarray) or f.size <= _BLOCK:
             return kernel(arg, f)
+        from concurrent.futures import ThreadPoolExecutor  # lazily: it loads logging (~6 ms)
+
         flat = f.astype(float, copy=False).ravel()
         out = np.empty_like(flat)
-        starts = range(0, flat.size, _BLOCK)
-        errors = []
         # A new thread starts from numpy's default error state (numpy >= 2
         # keeps it in a context variable, older numpy per thread), so each
-        # share runs under the caller's.
+        # block runs under the caller's.
         err, call = np.geterr(), np.geterrcall()
 
-        def share(k):
+        def block(i):
             with np.errstate(call=call, **err):
-                for i in starts[k::_THREADS]:
-                    try:
-                        out[i : i + _BLOCK] = kernel(arg, flat[i : i + _BLOCK])
-                    except Exception as exc:
-                        errors.append((i, exc))
-                        return
+                out[i : i + _BLOCK] = kernel(arg, flat[i : i + _BLOCK])
 
-        n = min(_THREADS, len(starts))
-        threads = [threading.Thread(target=share, args=(k,)) for k in range(1, n)]
-        for t in threads:
-            t.start()
-        try:
-            share(0)
-        finally:
-            for t in threads:
-                t.join()
-        if errors:
-            raise min(errors)[1]  # block starts are unique: exceptions are never compared
+        with ThreadPoolExecutor(_THREADS) as pool:
+            list(pool.map(block, range(0, flat.size, _BLOCK)))
         return out.reshape(f.shape)
 
     return blocked
@@ -153,7 +139,7 @@ def swap_fidelity_uniform(f, n_swaps: int):
     """Uniform-fidelity form: n_swaps swaps join n_swaps+1 equal links,
     F_eff = 1/4 + 3/4 * ((4F-1)/3)^(n_swaps+1).  n_swaps = 0 is the
     identity."""
-    _check_count(n_swaps, "swap count")
+    n_swaps = _check_count(n_swaps, "swap count")
     w = 4.0 * _in_range(f)  # a new array or scalar, so in place from here
     w -= 1.0
     w /= 3.0

@@ -1,11 +1,12 @@
 """Blocked evaluation of the array entry points is bit-identical.
 
 ``chain.run_chain`` and ``decoder.eval_qec_map`` evaluate arrays longer
-than ``werner._BLOCK`` points block by block, the blocks dealt round-robin
-to ``werner._THREADS`` threads.  The checks compare bytes: against the
-undecorated kernel (``__wrapped__``) on the whole array, and against a
-one-point array call per sampled point.  Each runs with 1, 2 and 3
-threads; with 3, the four blocks of ``N`` points split 2, 1, 1.
+than ``werner._BLOCK`` points block by block, on a pool of
+``werner._THREADS`` threads where each block goes to whichever thread is
+free.  The checks compare bytes: against the undecorated kernel
+(``__wrapped__``) on the whole array, and against a one-point array call
+per sampled point.  Each runs with 1, 2 and 3 threads, over the four
+blocks of ``N`` points.
 
 A scalar call is not held to the same bytes.  On a 0-d input the kernels'
 intermediates are numpy scalars, whose ``**`` is the C library's ``pow``,
@@ -162,9 +163,8 @@ def test_bad_value_in_first_blocks_raises_the_whole_array_error(at, rounds, x, m
 
 @pytest.mark.parametrize("slow", [_BLOCK, 3 * _BLOCK], ids=["block1", "block3"])
 def test_the_first_failing_blocks_error_is_raised(slow, monkeypatch):
-    """Blocks 1 and 3 fail, on different threads when there are three, the
-    ``slow`` one last; block 1's error wins, as in the serial loop, and
-    every thread has joined."""
+    """Blocks 1 and 3 fail, the ``slow`` one last; block 1's error wins, as
+    in the serial loop, and every thread has joined."""
 
     def kernel(arg, f):
         if f[0] in arg:

@@ -29,6 +29,8 @@ def test_plan_validation():
         ChainPlan(-1, P3)
     with pytest.raises(ValueError):
         ChainPlan(1, ("913", "923"))
+    with pytest.raises(ValueError, match="exactly 3 rounds"):
+        ChainPlan(1, "913")  # three characters, not three rounds
 
 
 def test_whole_float_repeater_count_is_stored_as_int():
@@ -36,6 +38,13 @@ def test_whole_float_repeater_count_is_stored_as_int():
     assert type(plan.n_repeaters) is int
     assert plan == ChainPlan(3, P3)
     assert rate_accounting(plan).rate == Fraction(1, 486)
+
+
+def test_list_rounds_are_stored_as_a_tuple():
+    plan = ChainPlan(1, ["913", "913", "913"])
+    assert plan.rounds == ("913", "913", "913")
+    assert plan == ChainPlan(1, ("913", "913", "913"))
+    assert hash(plan) == hash(ChainPlan(1, ("913", "913", "913")))
 
 
 def test_swap_schedule():

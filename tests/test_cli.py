@@ -120,6 +120,18 @@ def test_stdout_is_utf8_whatever_the_locale(tmp_path):
     assert proc.stdout.splitlines()[1] == "fivé,shape,pass,".encode()
 
 
+def test_import_leaves_the_thread_pool_unloaded():
+    # concurrent.futures loads logging; only a blocked kernel call needs it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, entdist.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_map_qec_single_point(capsys):
     code, out, _ = run_cli(capsys, "map", "qec", "--code", "913", "--grid", "1:1:1")
     assert code == 0

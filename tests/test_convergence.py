@@ -212,6 +212,14 @@ def test_trace_matches_purification_module():
                 ) < 1e-15
 
 
+def test_whole_float_step_count_runs():
+    start = (0.7, 0.1, 0.1, 0.1)
+    trace, ref = iterate("dejmps", start, 2.0), iterate("dejmps", start, 2)
+    assert len(trace.a) == 3
+    for field in dataclasses.fields(trace):
+        assert np.array_equal(getattr(trace, field.name), getattr(ref, field.name))
+
+
 def test_sequence_definitions():
     trace_b = iterate("bbpssw", (0.6, 0.1, 0.15, 0.15), 5)
     assert np.allclose(trace_b.s, trace_b.a + trace_b.d)

@@ -160,6 +160,9 @@ def test_no_curves_refused():
 def test_curve_grid_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
         efficiency_curve(protocol_plan("P1", 1), np.array([0.9, 0.9, 0.95]))
+    # each row increases, so only the shape check refuses it
+    with pytest.raises(ValueError, match="1-D and strictly increasing"):
+        efficiency_curve(protocol_plan("P1", 1), np.linspace(0.85, 0.99, 6).reshape(2, 3))
 
 
 def test_curve_metadata(curves_1r):

@@ -170,6 +170,12 @@ def test_rate_underflows_past_1023_rounds():
     assert run_rounds("dejmps", 1100, f_in=0.9).rounds[-1].rate == 0.0
 
 
+def test_whole_float_round_count_runs():
+    trace = run_rounds("dejmps", 2.0, f_in=0.8)
+    assert trace == run_rounds("dejmps", 2, f_in=0.8)
+    assert len(trace.rounds) == 2
+
+
 def test_run_rounds_argument_validation():
     with pytest.raises(ValueError):
         run_rounds("dejmps", 0, f_in=0.6)
