@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .codes import builtin_code
+from .codes import builtin_code, builtin_names
 from .decoder import builtin_polynomial, eval_qec_map
 from .werner import _blocked, _check_count, swap_fidelity_uniform
 
@@ -43,7 +43,8 @@ SKIP = None  # rounds entry for "no distillation this round"
 
 @dataclass(frozen=True)
 class ChainPlan:
-    """Repeater count plus the per-round code choice (or SKIP)."""
+    """Repeater count plus the per-round code choice: a builtin code name
+    or SKIP."""
 
     n_repeaters: int
     rounds: tuple[str | None, str | None, str | None]
@@ -57,6 +58,12 @@ class ChainPlan:
         if isinstance(self.rounds, str) or len(self.rounds) != 3:
             raise ValueError("a plan has exactly 3 rounds")
         object.__setattr__(self, "rounds", tuple(self.rounds))
+        names = builtin_names()
+        for i, name in enumerate(self.rounds, start=1):
+            if name is not SKIP and name not in names:
+                raise ValueError(
+                    f"round {i}: unknown code {name!r}; expected skip or one of {', '.join(names)}"
+                )
 
     @property
     def segment_counts(self) -> tuple[int, int, int]:
@@ -78,8 +85,9 @@ class ChainPlan:
 
 
 def parse_rounds(spec: str) -> tuple[str | None, str | None, str | None]:
-    """Parse ``913,skip,933``: three code names, ``skip`` for no coding."""
-    entries = spec.split(",")
+    """Parse ``913,skip,933``: three code names, ``skip`` for no coding;
+    whitespace around an entry is dropped."""
+    entries = [e.strip() for e in spec.split(",")]
     if len(entries) != 3:
         raise ValueError(f"rounds must name exactly 3 codes or 'skip', got {spec!r}")
     return tuple(SKIP if e.lower() == "skip" else e for e in entries)

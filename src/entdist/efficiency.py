@@ -151,5 +151,6 @@ def optimal_envelope(curves) -> tuple[np.ndarray, list[str]]:
     rev_best = np.argmax(stacked[::-1], axis=0)
     best = len(curves) - 1 - rev_best
     values = stacked[best, np.arange(stacked.shape[1])]
-    labels = [curves[i].label for i in best]
+    names = [c.label for c in curves]
+    labels = [names[i] for i in best.tolist()]
     return values, labels

@@ -42,9 +42,17 @@ def distillable_entanglement(f):
 
 
 def swap_fidelity_uniform(f, n_swaps):
-    """F_eff = 1/4 + 3/4 ((4F-1)/3)^(n_swaps+1)."""
+    """F_eff = 1/4 + 3/4 w^k, w = (4F-1)/3 and k = n_swaps + 1; from k = 3
+    on, w^k is |w|^k with the sign of w put back for odd k."""
     w = (4.0 * np.asarray(f, dtype=float) - 1.0) / 3.0
-    return _scalar(0.25 + 0.75 * w ** (n_swaps + 1))
+    k = n_swaps + 1
+    if k < 3:
+        power = w**k
+    elif k % 2:
+        power = np.copysign(np.abs(w) ** k, w)
+    else:
+        power = np.abs(w) ** k
+    return _scalar(0.25 + 0.75 * power)
 
 
 def run_chain(plan, f, polynomial):

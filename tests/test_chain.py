@@ -66,8 +66,16 @@ def test_plan_label():
         assert plan.label == text
 
 
+def test_unknown_code_is_refused_when_the_plan_is_built():
+    with pytest.raises(ValueError, match="round 2: unknown code 'nope'"):
+        ChainPlan(1, ("913", "nope", "933"))
+    with pytest.raises(ValueError, match="round 1: unknown code ' 913'"):
+        ChainPlan(1, (" 913", SKIP, SKIP))
+
+
 def test_parse_rounds():
     assert parse_rounds("513,skip,SKIP") == ("513", SKIP, SKIP)
+    assert parse_rounds("913, skip ,\t933 ") == ("913", SKIP, "933")
     for bad in ("913,923", "913,923,933,933", ""):
         with pytest.raises(ValueError, match="exactly 3"):
             parse_rounds(bad)

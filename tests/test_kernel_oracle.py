@@ -9,6 +9,9 @@ byte for byte (through the blocked path, across block edges, on 1, 2 and
 on numpy scalars, as the expressions do.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -55,7 +58,7 @@ def test_eval_qec_map_matches_the_expression(name, x, monkeypatch):
     _same_hex(lambda f: eval_qec_map(poly, f), lambda f: oracle.eval_qec_map(poly, f), scalars(596))
 
 
-@pytest.mark.parametrize("n_swaps", range(4))
+@pytest.mark.parametrize("n_swaps", range(6))
 def test_swap_fidelity_uniform_matches_the_expression(n_swaps, x):
     _same_bytes(swap_fidelity_uniform(x, n_swaps), oracle.swap_fidelity_uniform(x, n_swaps))
     _same_hex(
@@ -63,6 +66,31 @@ def test_swap_fidelity_uniform_matches_the_expression(n_swaps, x):
         lambda f: oracle.swap_fidelity_uniform(f, n_swaps),
         scalars(596),
     )
+
+
+def _below_a_quarter(n):
+    """``n`` fidelities in [0, 1/4): every Werner parameter negative."""
+    return 0.25 * np.random.default_rng(24).random(n)
+
+
+@pytest.mark.parametrize("n_swaps", range(2, 6))
+def test_negative_werner_powers_within_2_ulp_of_exact(n_swaps):
+    # the lanes that powering |w| moves: w < 0 at exponents 3 to 6
+    f = _below_a_quarter(2000)
+    got = swap_fidelity_uniform(f, n_swaps)
+    for fi, gi in zip(f.tolist(), got.tolist()):
+        w = (4 * Fraction(fi) - 1) / 3
+        exact = Fraction(1, 4) + Fraction(3, 4) * w ** (n_swaps + 1)
+        assert abs(Fraction(gi) - exact) <= 2 * Fraction(math.ulp(gi)), fi
+
+
+@pytest.mark.parametrize("n_swaps", range(6))
+def test_negative_werner_scalars_run_the_float_expression(n_swaps):
+    # a scalar takes the C library's pow, negative base and all
+    for f in [0.0, 0.1, 0.2] + _below_a_quarter(500).tolist():
+        w = (4.0 * f - 1.0) / 3.0
+        want = 0.25 + 0.75 * w ** (n_swaps + 1)
+        assert swap_fidelity_uniform(f, n_swaps).hex() == want.hex(), f
 
 
 def test_distillable_entanglement_matches_the_guarded_expression():
