@@ -85,7 +85,7 @@ def _cmd_codes_validate(args) -> int:
     checked = []  # (code name, check result)
     for name in names:
         code = codes.load_code(name) if os.path.exists(name) else codes.builtin_code(name)
-        checked += [(code.name, c) for c in codes.validate_code(code, check_distance=args.distance)]
+        checked += [(code.name, c) for c in codes.validate_code(code, check_distance=True)]
     table = {"code": [name for name, _ in checked], **_check_columns([c for _, c in checked])}
     _write(args, {"": table})
     return 0 if all(check.passed for _, check in checked) else 1
@@ -111,16 +111,12 @@ def _cmd_efficiency(args) -> int:
     labels = [lab.strip() for lab in args.protocols.split(",")]
     curves = efficiency.protocol_curves(args.repeaters, args.grid, labels)
     table = {"f_in": curves[0].grid, **{f"E_{c.label}": c.values for c in curves}}
-    if args.envelope:
-        table["E_envelope"], table["active_plan"] = efficiency.optimal_envelope(curves)
-    tables = {"": table}
-    if args.switchpoints:
-        points = efficiency.switching_points(curves)
-        by_pair = {(p.from_plan, p.to_plan): p.fidelity for p in points}
-        sp_table = tables["_switchpoints"] = {"n_repeaters": [args.repeaters]}
-        for cur, nxt in zip(curves, curves[1:]):
-            sp_table[f"f_sw_{cur.label}_to_{nxt.label}"] = [by_pair.get((cur.label, nxt.label))]
-    _write(args, tables)
+    table["E_envelope"], table["active_plan"] = efficiency.optimal_envelope(curves)
+    by_pair = {(p.from_plan, p.to_plan): p.fidelity for p in efficiency.switching_points(curves)}
+    sp_table = {"n_repeaters": [args.repeaters]}
+    for cur, nxt in zip(curves, curves[1:]):
+        sp_table[f"f_sw_{cur.label}_to_{nxt.label}"] = [by_pair.get((cur.label, nxt.label))]
+    _write(args, {"": table, "_switchpoints": sp_table})
     return 0
 
 
@@ -130,8 +126,6 @@ def _cmd_purify(args) -> int:
         # protocol convention: BBPSSW twirls between rounds, DEJMPS does not
         twirled = args.protocol == "bbpssw"
     if args.input_dist is not None:
-        if len(args.input_dist) != 4:
-            raise ValueError("--input-dist needs exactly 4 probabilities: PI,PX,PY,PZ")
         dist = purify.PauliDistribution(*args.input_dist).validate()
         start = tuple(np.array([v]) for v in dist.as_tuple())
     else:
@@ -161,8 +155,6 @@ def _cmd_hybrid(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    if len(args.start) != 4:
-        raise ValueError("--start needs exactly 4 components: A,B,C,D")
     trace = convergence.iterate(args.protocol, args.start, args.n)
     table = {"n": range(len(trace)), **{name: getattr(trace, name) for name in "abcdurq"}}
     _write(args, {"": table})
@@ -184,10 +176,10 @@ def _cmd_repro(args) -> int:
         code = main(argv + ["--output", str(path), "--format", fmt])
         if code != 0:
             raise SystemExit(f"repro step {name} failed with exit code {code}")
-        keys = ["", "_switchpoints"] if "--switchpoints" in argv else [""]
+        keys = ["", "_switchpoints"] if argv[0] == "efficiency" else [""]
         manifest.extend({"file": _table_path(path, key).name, "argv": argv} for key in keys)
 
-    run("codes_validation", ["codes", "validate", "--distance"])
+    run("codes_validation", ["codes", "validate"])
     for code_name in codes.builtin_names():
         run(f"qec_map_{code_name}", ["map", "qec", "--code", code_name])
         run(f"qec_counts_{code_name}", ["map", "qec", "--code", code_name, "--counts"])
@@ -199,10 +191,7 @@ def _cmd_repro(args) -> int:
     for lab, rounds in efficiency.PROTOCOL_SEQUENCES.items():
         run(f"chain_1R_{lab}", ["map", "chain", "--repeaters", "1", "--rounds", ",".join(rounds)])
     for reps in ("1", "3", "5"):
-        run(
-            f"efficiency_{reps}R",
-            ["efficiency", "--repeaters", reps, "--envelope", "--switchpoints"],
-        )
+        run(f"efficiency_{reps}R", ["efficiency", "--repeaters", reps])
     run("purify_dejmps", ["purify", "--protocol", "dejmps", "--rounds", "5"])
     run("purify_bbpssw", ["purify", "--protocol", "bbpssw", "--rounds", "5"])
     run("hybrid_933", ["hybrid", "--code", "933"])
@@ -220,12 +209,12 @@ def _cmd_repro(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _comma_floats(spec: str):
+def _four_floats(spec: str):
     try:
-        values = tuple(float(v) for v in spec.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {spec!r}")
-    return values
+        a, b, c, d = map(float, spec.split(","))
+    except ValueError:  # a part that is no number, or not 4 parts
+        raise argparse.ArgumentTypeError(f"expected 4 comma-separated numbers, got {spec!r}") from None
+    return a, b, c, d
 
 
 def _add_common(sub):
@@ -244,9 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("codes", help="list or validate the stabilizer code registry")
     actions = p.add_subparsers(dest="action", required=True)
     listing = actions.add_parser("list", help="the builtin codes' parameters")
-    validate = actions.add_parser("validate", help="check codes' structural invariants")
+    validate = actions.add_parser("validate", help="check codes' structural invariants and distance")
     validate.add_argument("names", nargs="*", help="code names or code files (default: all builtin)")
-    validate.add_argument("--distance", action="store_true", help="verify stored d exhaustively")
     for p, func in ((listing, _cmd_codes_list), (validate, _cmd_codes_validate)):
         _add_common(p)
         p.set_defaults(func=func)
@@ -268,8 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("efficiency", help="protocol efficiency curves, envelope, switching points")
     p.add_argument("--repeaters", type=int, default=1)
     p.add_argument("--protocols", default="P1,P2,P3,P4")
-    p.add_argument("--envelope", action="store_true")
-    p.add_argument("--switchpoints", action="store_true")
     p.add_argument("--grid", type=_parse_grid)
     _add_common(p)
     p.set_defaults(func=_cmd_efficiency)
@@ -282,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, default=3)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--grid", type=_parse_grid)
-    group.add_argument("--input-dist", type=_comma_floats, metavar="PI,PX,PY,PZ",
+    group.add_argument("--input-dist", type=_four_floats, metavar="PI,PX,PY,PZ",
                        help="explicit start distribution instead of a fidelity grid")
     _add_common(p)
     p.set_defaults(func=_cmd_purify)
@@ -295,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("converge", help="no-twirl recursion traces and identity checks")
     p.add_argument("--protocol", choices=purify.PROTOCOLS, required=True)
-    p.add_argument("--start", type=_comma_floats, required=True, metavar="A,B,C,D")
+    p.add_argument("--start", type=_four_floats, required=True, metavar="A,B,C,D")
     p.add_argument("--n", type=int, default=50)
     _add_common(p)
     p.set_defaults(func=_cmd_converge)

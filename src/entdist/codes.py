@@ -165,8 +165,8 @@ def validate_code(code: StabilizerCode, check_distance: bool = False) -> tuple[C
     Checks: operator sizes and counts, mutual commutation of stabilizers,
     generator independence (symplectic rank n-k), logicals commuting with
     the stabilizers, and the logical X/Z anticommutation pattern.  With
-    ``check_distance`` the stored d is verified by exhaustive enumeration
-    (practical for n <= 9).
+    ``check_distance`` the stored d is verified by exhaustive enumeration,
+    which :mod:`entdist.decoder` refuses above n = 10.
     """
     checks: list[CheckResult] = []
     n, k = code.n, code.k

@@ -132,9 +132,7 @@ class PurificationTrace:
 
     def fidelity_after(self, i: int) -> float:
         """Fidelity after i rounds; i = 0 is the input."""
-        if i == 0:
-            return self.initial.fidelity
-        return self.rounds[i - 1].dist.fidelity
+        return self.fidelities[_check_count(i, "round index")]
 
     @property
     def fidelities(self) -> tuple[float, ...]:

@@ -65,20 +65,41 @@ ZZZZZ
 def test_codes_validate_code_file(capsys, tmp_path):
     path = tmp_path / "five.txt"
     path.write_text(FIVE_QUBIT_FILE.format(d=3))
-    code, out, _ = run_cli(capsys, "codes", "validate", str(path), "--distance")
+    code, out, _ = run_cli(capsys, "codes", "validate", str(path))
     assert code == 0
     _, rows = csv_rows(out)
     assert rows[-1][:3] == ["five", "distance", "pass"]
     assert all(row[2] == "pass" for row in rows)
     # a wrong stored distance is a failed check (exit 1), named in its row
     path.write_text(FIVE_QUBIT_FILE.format(d=4))
-    code, out, _ = run_cli(capsys, "codes", "validate", str(path), "--distance")
+    code, out, _ = run_cli(capsys, "codes", "validate", str(path))
     assert code == 1
     assert out.splitlines()[-1] == 'five,distance,fail,"computed d=3, stored d=4"'
     # a file without its name line is bad input (exit 2)
     path.write_text(FIVE_QUBIT_FILE.format(d=3).replace("name=five\n", ""))
-    code, _, err = run_cli(capsys, "codes", "validate", str(path), "--distance")
+    code, _, err = run_cli(capsys, "codes", "validate", str(path))
     assert code == 2 and "missing header lines: name" in err
+
+
+def test_codes_validate_refuses_more_than_10_qubits(capsys, tmp_path):
+    # a structurally valid 11-qubit repetition code: its distance cannot be
+    # checked, so it is bad input (exit 2), refused before the 4^11 tables
+    n = 11
+    stabilizers = ["I" * i + "ZZ" + "I" * (n - i - 2) for i in range(n - 1)]
+    path = tmp_path / "rep11.txt"
+    path.write_text(
+        f"name=rep11\nn={n}\nk=1\nd=1\nH:\n" + "\n".join(stabilizers)
+        + "\nX:\n" + "X" * n + "\nZ:\nZ" + "I" * (n - 1) + "\n"
+    )
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "codes", "validate", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert "exhaustive decoding supports n <= 10 qubits, got n=11" in err
+    assert peak < 4**n // 4  # a 4^11-entry uint8 table alone takes 4 MiB
 
 
 C_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
@@ -278,9 +299,7 @@ def test_repro_tables_have_the_manifest_mode(repro_run):
 
 
 def test_efficiency_switchpoints(capsys):
-    code, out, _ = run_cli(
-        capsys, "efficiency", "--repeaters", "1", "--envelope", "--switchpoints"
-    )
+    code, out, _ = run_cli(capsys, "efficiency", "--repeaters", "1")
     assert code == 0
     blocks = out.strip().split("\n\n")
     assert len(blocks) == 2
@@ -292,11 +311,9 @@ def test_efficiency_switchpoints(capsys):
 
 
 def test_efficiency_envelope_columns(capsys):
-    code, out, _ = run_cli(
-        capsys, "efficiency", "--repeaters", "1", "--envelope", "--grid", "0.9:0.99:10"
-    )
+    code, out, _ = run_cli(capsys, "efficiency", "--repeaters", "1", "--grid", "0.9:0.99:10")
     assert code == 0
-    header, rows = csv_rows(out)
+    header, rows = csv_rows(out.split("\n\n")[0])
     assert header == ["f_in", "E_P1", "E_P2", "E_P3", "E_P4", "E_envelope", "active_plan"]
     assert rows[0][-1] == "P1" and rows[-1][-1] == "P4"
 
@@ -404,7 +421,7 @@ def test_output_files_and_json(tmp_path, capsys):
 def test_switchpoint_sibling_file(tmp_path, capsys):
     out = tmp_path / "eff.csv"
     code, _, _ = run_cli(
-        capsys, "efficiency", "--repeaters", "1", "--switchpoints",
+        capsys, "efficiency", "--repeaters", "1",
         "--grid", "0.9:0.99:200", "--output", str(out),
     )
     assert code == 0
@@ -444,12 +461,20 @@ def test_bad_inputs_exit_nonzero(capsys, tmp_path):
         ["map", "chain", "--counts"], ["map", "qec", "--repeaters", "3", "--rounds", "913,skip,skip"],
         ["map", "qec", "--counts", "--grid", "0:1:5"],
         ["codes", "list", "913"], ["codes", "list", "--distance"], ["codes", "list", "913", "--distance"],
+        ["efficiency", "--envelope"], ["efficiency", "--switchpoints"], ["codes", "validate", "--distance"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-    code, _, err = run_cli(capsys, "converge", "--protocol", "dejmps", "--start", "0.6,0.2,0.1", "--n", "3")
-    assert code == 2 and "--start needs exactly 4 components" in err
+    # a start of 3 numbers is refused by the parser, which names the flag
+    for argv in (
+        ["converge", "--protocol", "dejmps", "--start", "0.6,0.2,0.1", "--n", "3"],
+        ["purify", "--protocol", "dejmps", "--input-dist", "0.6,0.2,0.2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[3]}: expected 4 comma-separated numbers" in capsys.readouterr().err
     # OS errors are bad input too, not a failed check (exit 1) or a traceback
     code, _, err = run_cli(capsys, "codes", "validate", str(tmp_path))
     assert code == 2 and err.startswith("error: ")
@@ -459,7 +484,7 @@ def test_bad_inputs_exit_nonzero(capsys, tmp_path):
     assert code == 2 and err.startswith("error: ")
     # one column per protocol: a repeated label, in any case, is refused
     for protocols in ("P1,P1", "P1,p1"):
-        code, _, err = run_cli(capsys, "efficiency", "--protocols", protocols, "--switchpoints")
+        code, _, err = run_cli(capsys, "efficiency", "--protocols", protocols)
         assert code == 2 and "repeated protocol label P1" in err
 
 

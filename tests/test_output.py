@@ -21,13 +21,13 @@ SHORT_TRACE = ["hybrid", "--grid", "0.75:0.999:100"]
 
 SUBCOMMANDS = [
     ["codes", "list"],
-    ["codes", "validate", "513", "--distance"],
+    ["codes", "validate", "513"],
     ["codes", "validate", "{odd}", "913"],
     ["map", "qec", "--code", "913", "--grid", "0:1:33"],
     ["map", "qec", "--code", "513", "--counts"],
     ["map", "chain", "--repeaters", "3", "--rounds", "513,skip,713", "--grid", "0:1:17"],
-    ["efficiency", "--repeaters", "3", "--envelope", "--switchpoints", "--grid", "0.86:0.999:300"],
-    ["efficiency", "--protocols", "P1", "--switchpoints", "--grid", "0.9:0.99:5"],
+    ["efficiency", "--repeaters", "3", "--grid", "0.86:0.999:300"],
+    ["efficiency", "--protocols", "P1", "--grid", "0.9:0.99:5"],
     ["purify", "--protocol", "dejmps", "--rounds", "3", "--grid", "0:1:11"],
     ["purify", "--protocol", "bbpssw", "--rounds", "2", "--input-dist", "0.7,0.1,0.1,0.1"],
     SHORT_TRACE,

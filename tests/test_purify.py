@@ -158,6 +158,9 @@ def test_trace_bookkeeping():
     assert trace.protocol == "bbpssw" and trace.twirled
     assert len(trace.rounds) == 3
     assert trace.fidelity_after(0) == 0.8
+    assert trace.fidelity_after(3) == trace.fidelities[-1]
+    with pytest.raises(ValueError, match="round index"):
+        trace.fidelity_after(-1)  # not round 2, nor round 3 counted from the end
     assert trace.fidelities == (0.8,) + tuple(r.dist.fidelity for r in trace.rounds)
     assert all(
         a.p_total_discard <= b.p_total_discard
