@@ -7,7 +7,9 @@ mirrors the same table as ``{"columns": [...], "rows": [[...]]}``, with
 non-finite floats as the strings of their CSV cells.  Files
 are written to a temporary sibling, CSV one block of rows at a time, and
 renamed into place so a failed run never leaves a partial file behind.
-Every file is UTF-8 whatever the locale.
+The command line streams the same pieces (:func:`_pieces`) to stdout, so
+both sinks get the same bytes, UTF-8 whatever the locale; a JSON table is
+still one piece, built whole.
 
 A CSV float cell is exactly ``format(x, ".17g")``.  For a float array it
 is built by integer arithmetic when ``1e-4 <= |x| < 1e17`` (fixed

@@ -49,11 +49,15 @@ def _table_path(output, key: str) -> Path:
 def _write(args, tables: dict) -> None:
     """Write a subcommand's tables (file-name key -> table) to the paths
     :func:`_table_path` gives for ``--output``; without ``--output``, to
-    stdout one blank line apart, as UTF-8 bytes whatever the locale."""
+    stdout one blank line apart, block by block once every table's columns
+    check out, as UTF-8 bytes whatever the locale."""
     if args.output is None:
-        text = "\n".join(_output.render(t, args.format) for t in tables.values())
+        blocks = [_output._pieces(t, args.format) for t in tables.values()]
         sys.stdout.flush()  # what the text layer holds goes first
-        sys.stdout.buffer.write(text.encode())
+        for i, pieces in enumerate(blocks):
+            if i:
+                sys.stdout.buffer.write(b"\n")
+            sys.stdout.buffer.writelines(pieces)
         return
     for key, table in tables.items():
         _output.write_table(_table_path(args.output, key), table, args.format)
@@ -129,8 +133,7 @@ def _cmd_purify(args) -> int:
         dist = purify.PauliDistribution(*args.input_dist).validate()
         start = tuple(np.array([v]) for v in dist.as_tuple())
     else:
-        grid = args.grid if args.grid is not None else np.linspace(0.0, 1.0, 10000)
-        start = purify._depolarized(_in_range(grid))
+        start = purify._depolarized(_in_range(args.grid))
     _check_count(args.rounds, "rounds", least=1)
     # one array recurrence over every start column; rows run round-minor
     recurrence = purify._recurrence(args.protocol, start, args.rounds, twirled)
@@ -267,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--no-twirl", dest="twirl", action="store_false")
     p.add_argument("--rounds", type=int, default=3)
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--grid", type=_parse_grid)
+    group.add_argument("--grid", type=_parse_grid, default="0:1:10000", help="fidelity grid min:max:points")
     group.add_argument("--input-dist", type=_four_floats, metavar="PI,PX,PY,PZ",
                        help="explicit start distribution instead of a fidelity grid")
     _add_common(p)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -60,27 +59,25 @@ def builtin_threshold(code_name: str) -> float:
     return pseudo_threshold(builtin_polynomial(code_name))
 
 
-def _dejmps_trace(f_in: float):
-    """Fidelities and cumulative discards of DEJMPS (no twirl) from a
-    depolarizing start at a float ``f_in``: two lists of floats, index
-    i = after i rounds.  :func:`_dejmps_table` is the same on a grid.
-    Callers: :func:`hybrid_run` and ``tests/strategy_oracle.py``."""
-    rounds = list(_recurrence("dejmps", _depolarized(f_in), MAX_ROUNDS))
-    # f_in * 0.0: a zero discard shaped like the input
-    return [f_in] + [r[1][0] for r in rounds], [f_in * 0.0] + [r[2] for r in rounds]
+def _dejmps(f_in):
+    """Fidelity and cumulative discard of DEJMPS (no twirl) from a
+    depolarizing start at a float or array ``f_in``, lazily, after 0, 1,
+    ..., ``MAX_ROUNDS`` rounds: the one round walk of this module and of
+    ``tests/strategy_oracle.py``."""
+    yield f_in, f_in * 0.0  # a zero discard shaped like the input
+    for _, comps, p_total, _ in _recurrence("dejmps", _depolarized(f_in), MAX_ROUNDS):
+        yield comps[0], p_total
 
 
 def _dejmps_table(grid: np.ndarray):
-    """:func:`_dejmps_trace` on a 1-D grid, bit for bit: (MAX_ROUNDS + 1, N)
+    """:func:`_dejmps` on a 1-D grid, bit for bit: (MAX_ROUNDS + 1, N)
     float64 tables of fidelity and cumulative discard, row i = after i
     rounds, one column per grid point.  Each round is written into its row
     as it is made, so no round outlives the next."""
     fids = np.empty((MAX_ROUNDS + 1, grid.size))
     discards = np.empty_like(fids)
-    fids[0], discards[0] = grid, 0.0
-    recurrence = _recurrence("dejmps", _depolarized(grid), MAX_ROUNDS)
-    for i, (_, comps, p_total, _) in enumerate(recurrence, 1):
-        fids[i], discards[i] = comps[0], p_total
+    for i, (fid, discard) in enumerate(_dejmps(grid)):
+        fids[i], discards[i] = fid, discard
     return fids, discards
 
 
@@ -117,8 +114,7 @@ def min_rounds_to_fidelity(f_in: float, target: float) -> int | None:
         return 0
     if f_in <= 0.5:
         return None
-    rounds = _recurrence("dejmps", _depolarized(f_in), MAX_ROUNDS)  # lazy: stops at the answer
-    return _first_at_least(chain([f_in], (r[1][0] for r in rounds)), target)
+    return _first_at_least((f for f, _ in _dejmps(f_in)), target)  # lazy: stops at the answer
 
 
 @dataclass(frozen=True)
@@ -144,7 +140,7 @@ def hybrid_run(f_in: float, code_name: str = "933") -> HybridResult:
     code = builtin_code(code_name)
     poly = builtin_polynomial(code_name)
     threshold = builtin_threshold(code_name)
-    fids, discards = _dejmps_trace(f_in)
+    fids, discards = zip(*_dejmps(f_in))
     i_pre = _first_at_least(fids, threshold)
     if i_pre is None:
         raise _unreachable(f"threshold {threshold:.6f}", f_in)

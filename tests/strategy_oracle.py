@@ -8,7 +8,7 @@ and ``MAX_ROUNDS`` through ``entdist.hybrid``, so a test that patches
 ``hybrid.MAX_ROUNDS`` shortens both paths.
 """
 
-from entdist.hybrid import BASELINE_D, _dejmps_trace, _first_at_least, _refined, _unreachable
+from entdist.hybrid import BASELINE_D, _dejmps, _first_at_least, _refined, _unreachable
 from entdist.werner import _in_range, distillable_entanglement
 
 
@@ -19,7 +19,7 @@ def baseline_distillable(f_in: float) -> tuple[float, int]:
     d0 = distillable_entanglement(f_in)
     if d0 >= BASELINE_D:
         return d0, 0
-    ds = distillable_entanglement(_dejmps_trace(f_in)[0]).tolist()
+    ds = distillable_entanglement([f for f, _ in _dejmps(f_in)]).tolist()
     i = _first_at_least(ds, BASELINE_D)
     if i is None:
         raise _unreachable(f"distillable entanglement {BASELINE_D}", f_in)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from entdist._output import format_cell
-from entdist.cli import main
+from entdist.cli import _write, main
 from entdist.purify import PauliDistribution, run_rounds
 
 GOLDEN_DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "golden" / "repro_sha256.json"
@@ -250,6 +251,21 @@ def test_purify_allocation_peak(tmp_path):
     assert peak < 9e6
 
 
+def test_stdout_allocation_peak(tmp_path):
+    # 200,001 rows, 8.4 MB of CSV: stdout gets one 4,096-row block at a
+    # time, as --output does, never the whole text
+    argv = ["map", "chain", "--grid", "0:1:200001"]
+    with open(tmp_path / "chain.csv", "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+        assert main(argv[:-1] + ["0:1:10"]) == 0  # the parser, the pool and the writer warm
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 9e6
+
+
 def test_purify_explicit_distribution_matches_run_rounds(capsys):
     dist = PauliDistribution(0.7, 0.05, 0.2, 0.05)
     code, out, _ = run_cli(
@@ -427,6 +443,33 @@ def test_switchpoint_sibling_file(tmp_path, capsys):
     assert code == 0
     assert out.exists()
     assert (tmp_path / "eff_switchpoints.csv").exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stdout_is_the_output_files_one_blank_line_apart(fmt, tmp_path, capsysbinary):
+    argv = ["efficiency", "--repeaters", "1", "--format", fmt]
+    assert main(argv + ["--output", str(tmp_path / f"eff.{fmt}")]) == 0
+    assert main(argv) == 0
+    files = [(tmp_path / f"eff{key}.{fmt}").read_bytes() for key in ("", "_switchpoints")]
+    assert capsysbinary.readouterr().out == files[0] + b"\n" + files[1]
+
+
+def test_stdout_is_the_output_file_across_blocks(tmp_path, capsysbinary):
+    # 5,000 rows: a full 4,096-row block and a tail
+    argv = ["map", "chain", "--grid", "0:1:5000"]
+    assert main(argv + ["--output", str(tmp_path / "chain.csv")]) == 0
+    assert main(argv) == 0
+    out = capsysbinary.readouterr().out
+    assert out.count(b"\n") == 5001
+    assert out == (tmp_path / "chain.csv").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stdout_gets_nothing_when_a_later_table_is_ragged(fmt, capsysbinary):
+    tables = {"": {"x": [1.0, 2.0]}, "_bad": {"x": [1.0, 2.0], "y": [3.0]}}
+    with pytest.raises(ValueError, match="unequal length"):
+        _write(argparse.Namespace(output=None, format=fmt), tables)
+    assert capsysbinary.readouterr().out == b""
 
 
 def test_missing_output_directory_fails_cleanly(tmp_path, capsys):

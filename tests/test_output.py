@@ -49,12 +49,12 @@ def test_subcommand_tables_match_row_renderer(argv, fmt, tmp_path, capsys, monke
     odd.write_text(ODD_CODE)
     rendered = []
 
-    def spy(table, fmt="csv"):
-        rendered.append((table, fmt, real(table, fmt)))
-        return rendered[-1][2]
+    def spy(table, fmt):
+        rendered.append((table, fmt, b"".join(real(table, fmt)).decode()))
+        return real(table, fmt)
 
-    real = _output.render
-    monkeypatch.setattr(_output, "render", spy)
+    real = _output._pieces
+    monkeypatch.setattr(_output, "_pieces", spy)
     if argv is SHORT_TRACE:
         monkeypatch.setattr(hybrid, "MAX_ROUNDS", 3)
     code = main([a.format(odd=odd) for a in argv] + ["--format", fmt])
