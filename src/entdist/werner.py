@@ -122,17 +122,15 @@ def _root(g, grid, tol, what):
 def distillable_entanglement(f):
     """Hashing-bound yield D_H in ebits per pair; may be negative.
 
-    Defined for 0 < F <= 1, with the F log F terms taken by continuity at
-    the endpoints of the open interval.
+    Defined for 0 < F <= 1.  The (1-F) term is 0 at F = 1; elsewhere
+    1 - F >= 2^-53, so no log sees 0 and (1-F)/3 never underflows.
     """
     f = np.asarray(f, dtype=float)
-    if not ((f > 0.0) & (f <= 1.0)).all():  # negated, so that NaN fails it too
+    # negated, so that NaN fails it too; a scalar takes one comparison
+    if not (0.0 < f.item() <= 1.0 if f.ndim == 0 else ((f > 0.0) & (f <= 1.0)).all()):
         raise ValueError("fidelity must lie in (0, 1]")
     g = 1.0 - f
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term_f = np.where(f > 0.0, f * np.log2(np.where(f > 0.0, f, 1.0)), 0.0)
-        term_g = np.where(g > 0.0, g * np.log2(np.where(g > 0.0, g / 3.0, 1.0)), 0.0)
-    return _scalar(1.0 + term_f + term_g)
+    return _scalar(1.0 + f * np.log2(f) + g * np.log2(np.where(g > 0.0, g / 3.0, 1.0)))
 
 
 def swap_fidelity_uniform(f, n_swaps: int):

@@ -334,6 +334,16 @@ def test_efficiency_envelope_columns(capsys):
     assert rows[0][-1] == "P1" and rows[-1][-1] == "P4"
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [("0:1:100", "fidelity must lie in (0, 1]"), ("0.5:1:100", "at or below the hashing threshold")],
+    ids=["F = 0", "below threshold"],
+)
+def test_efficiency_refuses_a_grid_outside_the_yield_domain(capsys, grid, message):
+    code, out, err = run_cli(capsys, "efficiency", "--grid", grid)
+    assert code == 2 and out == "" and message in err
+
+
 def test_converge_trace(capsys):
     code, out, err = run_cli(
         capsys, "converge", "--protocol", "bbpssw",

@@ -51,6 +51,43 @@ def test_distillable_entanglement_domain():
         distillable_entanglement(np.array([0.9, np.nan]))
 
 
+# the four forms of a scalar fidelity; each reaches the check as a float64 0-d array
+SCALAR_TYPES = [float, np.float64, np.float32, np.array]
+SCALAR_IDS = ["float", "float64", "float32", "0-d array"]
+
+
+@pytest.mark.parametrize("as_type", SCALAR_TYPES, ids=SCALAR_IDS)
+@pytest.mark.parametrize(
+    "bad",
+    [0.0, -0.0, "above 1", math.nan, math.inf, -math.inf],
+    ids=["0", "-0", "above 1", "nan", "inf", "-inf"],
+)
+def test_distillable_entanglement_refuses_a_scalar_outside_its_domain(as_type, bad):
+    if bad == "above 1":  # the type's next value above 1
+        kind = np.float32 if as_type is np.float32 else np.float64
+        bad = np.nextafter(kind(1.0), kind(2.0))
+        assert bad > 1.0
+    with pytest.raises(ValueError, match=r"fidelity must lie in \(0, 1\]"):
+        distillable_entanglement(as_type(bad))
+
+
+@pytest.mark.parametrize("as_type", SCALAR_TYPES, ids=SCALAR_IDS)
+def test_distillable_entanglement_of_a_scalar_at_its_domain_ends_is_a_float(as_type):
+    kind = np.float32 if as_type is np.float32 else np.float64
+    tiny = np.finfo(kind).smallest_subnormal  # 5e-324 as a float64
+    for f in (tiny, 1.0):
+        d = distillable_entanglement(as_type(f))
+        assert type(d) is float
+        assert d == distillable_entanglement(np.array([f], dtype=float))[0]
+    assert distillable_entanglement(as_type(1.0)) == 1.0
+
+
+def test_distillable_entanglement_of_an_empty_array_is_empty():
+    for shape in [(0,), (0, 3)]:
+        d = distillable_entanglement(np.empty(shape))
+        assert isinstance(d, np.ndarray) and d.shape == shape
+
+
 def test_distillable_entanglement_negative_below_threshold():
     assert distillable_entanglement(0.7) < 0.0
     assert distillable_entanglement(0.9) > 0.0
