@@ -80,7 +80,8 @@ def efficiency_value(rate, f_in, f_out):
     if not 0.0 <= rate <= 1.0:  # negated, so that NaN fails it too
         raise ValueError(f"rate must lie in [0, 1], got {rate}")
     d_in = distillable_entanglement(f_in)
-    if np.any(np.asarray(d_in) <= 0.0):
+    # negated, so that NaN fails it too; a float takes one comparison
+    if not (d_in > 0.0 if isinstance(d_in, float) else (d_in > 0.0).all()):
         raise ValueError(
             "efficiency is undefined at or below the hashing threshold (D(F_in) <= 0)"
         )

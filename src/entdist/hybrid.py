@@ -20,6 +20,7 @@ the survival factor, and clamps negatives to zero:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -140,16 +141,18 @@ def hybrid_run(f_in: float, code_name: str = "933") -> HybridResult:
     code = builtin_code(code_name)
     poly = builtin_polynomial(code_name)
     threshold = builtin_threshold(code_name)
-    fids, discards = zip(*_dejmps(f_in))
-    i_pre = _first_at_least(fids, threshold)
+    # each search rescans the pairs seen so far and walks on only as far as it needs
+    seen = []
+    walk = (seen.append(pair) or pair for pair in _dejmps(f_in))
+    i_pre = _first_at_least((f for f, _ in itertools.chain(seen, walk)), threshold)
     if i_pre is None:
         raise _unreachable(f"threshold {threshold:.6f}", f_in)
+    f_at_threshold, p_total = seen[i_pre]
     # the Werner twirl keeps the fidelity, which is all the QEC map reads
-    f_out = eval_qec_map(poly, fids[i_pre])
-    p_total = discards[i_pre]
+    f_out = eval_qec_map(poly, f_at_threshold)
     rate = code.k / (2.0**i_pre * code.n) * (1.0 - p_total)
-    i_match = _first_at_least(fids, f_out)
-    return HybridResult(f_in, code.name, i_pre, fids[i_pre], f_out, rate, p_total, i_match)
+    i_match = _first_at_least((f for f, _ in itertools.chain(seen, walk)), f_out)
+    return HybridResult(f_in, code.name, i_pre, f_at_threshold, f_out, rate, p_total, i_match)
 
 
 def default_scan_grid(points: int = 10000) -> np.ndarray:

@@ -31,9 +31,20 @@ def test_identity_protocol_has_unit_efficiency():
         assert efficiency_value(1, f, f) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_efficiency_requires_positive_input_entanglement():
+@pytest.mark.parametrize(
+    "as_input, result_type",
+    [
+        (float, float),
+        (np.float64, float),
+        (np.array, float),
+        (lambda f: np.array([0.95, f, 0.99]), np.ndarray),  # one point of an array
+    ],
+    ids=["float", "float64", "0-d array", "array point"],
+)
+def test_efficiency_requires_positive_input_entanglement(as_input, result_type):
     with pytest.raises(ValueError, match="hashing threshold"):
-        efficiency_value(1, 0.8, 0.9)
+        efficiency_value(1, as_input(0.8), 0.9)
+    assert type(efficiency_value(1, as_input(0.9), 0.95)) is result_type
 
 
 @pytest.mark.parametrize("rate", [-1, 1.5, -1e-300])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from entdist import hybrid
-from entdist.codes import builtin_code
+from entdist.codes import builtin_code, builtin_names
 from entdist.decoder import LogicalFidelityPolynomial, builtin_polynomial, eval_qec_map
 from entdist.hybrid import (
     builtin_threshold,
@@ -17,7 +17,7 @@ from entdist.hybrid import (
 )
 from entdist.purify import run_rounds
 from entdist.werner import distillable_entanglement, hashing_threshold
-from strategy_oracle import baseline_distillable, refined_efficiency
+from strategy_oracle import baseline_distillable, refined_efficiency, whole_walk_hybrid_run
 
 
 @pytest.fixture(scope="module")
@@ -84,18 +84,66 @@ def test_min_rounds_basics(monkeypatch):
     assert min_rounds_to_fidelity(0.505, 0.999) is None
 
 
-def test_min_rounds_stops_at_its_round(monkeypatch):
-    consumed = []
+@pytest.fixture
+def consumed(monkeypatch):
+    """The DEJMPS rounds ``hybrid`` takes from ``purify._recurrence``, one
+    entry per round, in the order taken."""
+    rounds = []
     recurrence = hybrid._recurrence
 
     def counting(*args):
         for r in recurrence(*args):
-            consumed.append(r)
+            rounds.append(r)
             yield r
 
     monkeypatch.setattr(hybrid, "_recurrence", counting)
+    return rounds
+
+
+def test_min_rounds_stops_at_its_round(consumed):
     assert min_rounds_to_fidelity(0.85, 0.9563) == 2
     assert len(consumed) == 2
+
+
+def test_hybrid_run_stops_at_its_match(consumed, monkeypatch):
+    res = hybrid_run(0.8, "933")
+    assert res.i_match is not None and len(consumed) == res.i_match
+    # with no matching round the walk goes to its end, and no further
+    consumed.clear()
+    monkeypatch.setattr(hybrid, "MAX_ROUNDS", 3)
+    res = hybrid_run(0.75, "933")
+    assert (res.i_pre, res.i_match) == (3, None)
+    assert len(consumed) == 3
+
+
+def _outcome(run, f, name):
+    """Every field of a hybrid result, floats by ``hex``, or the error text."""
+    try:
+        res = run(f, name)
+    except ValueError as err:
+        return str(err)
+    return [v.hex() if isinstance(v, float) else v for v in astuple(res)]
+
+
+@pytest.mark.parametrize("max_rounds", [3, 40])
+@pytest.mark.parametrize("name", builtin_names())
+def test_hybrid_run_equals_the_whole_walk(name, max_rounds, monkeypatch):
+    monkeypatch.setattr(hybrid, "MAX_ROUNDS", max_rounds)
+    rng = np.random.default_rng(30)
+    half = np.nextafter(0.5, 1.0)
+    points = np.concatenate([
+        [0.0, 0.5, half, 1.0],
+        half + rng.uniform(0, 1e-15, 20),  # within 1e-15 above 0.5
+        0.5 + 10.0 ** -rng.uniform(1, 15, 50),
+        rng.random(150),
+        0.7 + 0.3 * rng.random(150),  # where the threshold is reached
+    ]).tolist()
+    outcomes = [(_outcome(hybrid_run, f, name), _outcome(whole_walk_hybrid_run, f, name))
+                for f in points]
+    for f, (got, want) in zip(points, outcomes):
+        assert got == want, f
+    kinds = {type(got) if isinstance(got, str) else got[-1] is None for got, _ in outcomes}
+    assert {str, False, max_rounds == 3} <= kinds  # refused, matched, and unmatched in 3
 
 
 @pytest.mark.parametrize("max_rounds", [0, 3, 40])
