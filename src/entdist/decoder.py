@@ -2,13 +2,14 @@
 
 The decoder enumerates all 4^n unsigned Pauli errors in canonical order
 and keeps the first error per syndrome as the stored correction: the
-maximum-likelihood coset leader for the depolarizing channel.  Canonical
-order is weight ascending, then, within a weight, the 2n-bit string of the
-x block above the z block read as an unsigned integer, qubit 0 the most
-significant bit of each block; it makes the tables reproducible bit for
-bit.  Classifying every error against its correction yields
-weight-indexed counts A_w of decoder-correctable errors, from which the
-single-round fidelity map
+least-weight error, ties broken by enumeration index.  That is the
+coset-ML choice under depolarizing noise for 913, 933, 513 and 713, not
+for 923, whose counts depend on qubit order.  Canonical order is weight
+ascending, then, within a weight, the 2n-bit string of the x block above
+the z block read as an unsigned integer, qubit 0 the most significant bit
+of each block; it makes the tables reproducible bit for bit.  Classifying
+every error against its correction yields weight-indexed counts A_w of
+decoder-correctable errors, from which the single-round fidelity map
 
     F_out = sum_w A_w * F^(n-w) * ((1-F)/3)^w
 

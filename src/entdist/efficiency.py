@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .chain import ChainPlan, rate_accounting, run_chain
-from .werner import _crossings, distillable_entanglement
+from .werner import _check_count, _crossings, distillable_entanglement
 
 __all__ = [
     "PROTOCOL_SEQUENCES",
@@ -54,7 +54,7 @@ def protocol_plan(label: str, n_repeaters: int) -> ChainPlan:
 def default_grid(points: int = 2000) -> np.ndarray:
     """Grid for switching-point work: all crossings sit well above 0.93,
     so [0.85, 1] at 2000 points resolves them to the 1e-4 level."""
-    return np.linspace(0.85, 1.0, points)
+    return np.linspace(0.85, 1.0, _check_count(points, "grid points", least=2))
 
 
 @dataclass(frozen=True)

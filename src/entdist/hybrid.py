@@ -29,7 +29,7 @@ import numpy as np
 from .codes import builtin_code
 from .decoder import LogicalFidelityPolynomial, builtin_polynomial, eval_qec_map
 from .purify import _depolarized, _recurrence
-from .werner import _root, distillable_entanglement
+from .werner import _check_count, _root, distillable_entanglement
 
 __all__ = [
     "BASELINE_D",
@@ -159,7 +159,7 @@ def default_scan_grid(points: int = 10000) -> np.ndarray:
     """10,000 uniform points on [0.501, 1).  The right endpoint is
     excluded: at F = 1 exactly, both strategies are no-ops and the
     round-count comparison degenerates."""
-    return np.linspace(0.501, 1.0, points, endpoint=False)
+    return np.linspace(0.501, 1.0, _check_count(points, "grid points", least=1), endpoint=False)
 
 
 def checkpoint_scan(code_name: str = "933", grid=None) -> np.recarray:

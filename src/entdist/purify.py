@@ -22,6 +22,7 @@ near F = 0.5 so nothing here is ever grid-interpolated.  One kernel,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .werner import _check_count
 
@@ -50,8 +51,7 @@ def _depolarized(f):
     return (f, e, e, e)
 
 
-@dataclass(frozen=True)
-class PauliDistribution:
+class PauliDistribution(NamedTuple):
     """Error-component probabilities (P_I, P_X, P_Y, P_Z) of one pair."""
 
     p_i: float
@@ -115,8 +115,7 @@ def _recurrence(protocol: str, comps, rounds: int, twirled: bool = False):
         yield p_discard, comps, p_total, (1.0 - p_total) * 0.5**n
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     dist: PauliDistribution
     p_discard: float
     p_total_discard: float

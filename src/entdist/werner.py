@@ -123,8 +123,13 @@ def distillable_entanglement(f):
     """Hashing-bound yield D_H in ebits per pair; may be negative.
 
     Defined for 0 < F <= 1.  The (1-F) term is 0 at F = 1; elsewhere
-    1 - F >= 2^-53, so no log sees 0 and (1-F)/3 never underflows.
+    1 - F >= 2^-53, so no log sees 0 and (1-F)/3 never underflows.  A float
+    runs the array's steps in Python floats, 0-d ``np.log2`` and all: its bits.
     """
+    if isinstance(f, float) and 0.0 < f <= 1.0:  # out of range, the array path raises
+        f = float(f)  # a numpy float64 too
+        g = 1.0 - f
+        return 1.0 + f * float(np.log2(f)) + g * float(np.log2(g / 3.0 if g > 0.0 else 1.0))
     f = np.asarray(f, dtype=float)
     # negated, so that NaN fails it too; a scalar takes one comparison
     if not (0.0 < f.item() <= 1.0 if f.ndim == 0 else ((f > 0.0) & (f <= 1.0)).all()):

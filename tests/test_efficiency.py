@@ -176,6 +176,16 @@ def test_curve_grid_validation():
         efficiency_curve(protocol_plan("P1", 1), np.linspace(0.85, 0.99, 6).reshape(2, 3))
 
 
+def test_default_grid_point_count_validation():
+    # one point would be a grid efficiency_curve refuses; inf and 2.5 are
+    # no counts (np.linspace would raise TypeError on them)
+    for points in (1, 0, -3, 2.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="grid points must be >= 2 and whole"):
+            default_grid(points)
+    assert np.array_equal(default_grid(3.0), np.linspace(0.85, 1.0, 3))
+    efficiency_curve(protocol_plan("P1", 1), default_grid(2))
+
+
 def test_curve_metadata(curves_1r):
     p4 = next(c for c in curves_1r if c.label == "P4")
     assert float(p4.rate) == pytest.approx(8 / 1458)

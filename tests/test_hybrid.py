@@ -269,6 +269,10 @@ def test_scan_grid_validation():
     grid = default_scan_grid()
     assert len(grid) == 10000
     assert grid[0] == 0.501 and grid[-1] < 1.0
+    assert np.array_equal(default_scan_grid(1.0), [0.501])
+    for points in (0, 2.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="grid points must be >= 1 and whole"):
+            default_scan_grid(points)
 
 
 def test_scalar_strategy_functions_reject_nan():

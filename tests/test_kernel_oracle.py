@@ -99,7 +99,16 @@ def test_distillable_entanglement_matches_the_guarded_expression():
     f = np.concatenate([edges, 1.0 - np.random.default_rng(23).random(N)])  # in (0, 1]
     with np.errstate(divide="raise", invalid="raise", over="raise"):
         _same_bytes(distillable_entanglement(f), oracle.distillable_entanglement(f))
-        _same_hex(distillable_entanglement, oracle.distillable_entanglement, f[:600].tolist())
+        # a float runs its own branch, yet must give its array lane's bits:
+        # math.log2 in place of the 0-d np.log2 differs at about 1 point in 1,000
+        rng = np.random.default_rng(24)
+        tiny = np.exp2(-rng.uniform(0.0, 1074.0, 2000))  # down to the subnormals
+        near_one = 1.0 - np.ldexp(rng.integers(1, 2**30, 2000), -53)  # 1 - F from 2^-53
+        points = np.concatenate([f[:20000], tiny, near_one])
+        want = oracle.distillable_entanglement(points).tolist()
+        for p, w in zip(points.tolist(), want):
+            for got in (distillable_entanglement(p), distillable_entanglement(np.float64(p))):
+                assert type(got) is float and got.hex() == w.hex(), p
 
 
 @pytest.mark.parametrize("plan", PLANS, ids=lambda p: p.label)

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from circuit_oracle import circuit_oracle
 from closed_form_oracle import bbpssw_closed_form
-from entdist.purify import PROTOCOLS, PauliDistribution, _step, run_rounds
+from entdist.purify import PROTOCOLS, PauliDistribution, RoundRecord, _recurrence, _step, run_rounds
 
 
 def random_distribution(rng):
@@ -166,6 +166,38 @@ def test_trace_bookkeeping():
         a.p_total_discard <= b.p_total_discard
         for a, b in zip(trace.rounds, trace.rounds[1:])
     )
+
+
+def test_records_are_immutable_hashable_and_keep_their_repr():
+    dist = PauliDistribution(0.7, 0.1, 0.15, 0.05)
+    record = RoundRecord(dist, 0.25, 0.5, 0.125)
+    for value, field in ((dist, "p_i"), (record, "p_discard"), (record, "dist")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 0.0)
+    twin = RoundRecord(PauliDistribution(*dist), 0.25, 0.5, 0.125)
+    assert hash(twin.dist) == hash(dist) and hash(twin) == hash(record)
+    assert repr(record) == (
+        "RoundRecord(dist=PauliDistribution(p_i=0.7, p_x=0.1, p_y=0.15, p_z=0.05), "
+        "p_discard=0.25, p_total_discard=0.5, rate=0.125)"
+    )
+
+
+@pytest.mark.parametrize("twirled", [False, True])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_scalar_rounds_equal_one_point_array_lanes(protocol, twirled):
+    # a scalar trace runs the recurrence on floats; a one-point array runs
+    # it on numpy lanes: the same operations, so the same bits
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        raw = rng.random(4)
+        dist = PauliDistribution(*(raw / raw.sum()).tolist()).validate()
+        trace = run_rounds(protocol, 5, dist=dist, twirled=twirled)
+        lanes = _recurrence(protocol, tuple(np.array([v]) for v in dist), 5, twirled)
+        for record, (p_discard, comps, p_total, rate) in zip(trace.rounds, lanes, strict=True):
+            got = (*record.dist, record.p_discard, record.p_total_discard, record.rate)
+            want = (*comps, p_discard, p_total, rate)
+            assert all(type(g) is float for g in got)
+            assert [g.hex() for g in got] == [float(w[0]).hex() for w in want]
 
 
 def test_rate_underflows_past_1023_rounds():
