@@ -131,7 +131,7 @@ def _cmd_purify(args) -> int:
         twirled = args.protocol == "bbpssw"
     if args.input_dist is not None:
         dist = purify.PauliDistribution(*args.input_dist).validate()
-        start = tuple(np.array([v]) for v in dist.as_tuple())
+        start = tuple(np.array([v]) for v in dist)
     else:
         start = purify._depolarized(_in_range(args.grid))
     _check_count(args.rounds, "rounds", least=1)

@@ -76,11 +76,10 @@ class PauliDistribution(NamedTuple):
 
     def validate(self) -> "PauliDistribution":
         """Check the components: none below -1e-9, sum within 1e-9 of 1."""
-        values = self.as_tuple()
         # negated comparisons, so that NaN fails them too
-        if not all(v >= -1e-9 for v in values):
-            raise ValueError(f"negative or NaN component in {values}")
-        total = sum(values)
+        if not all(v >= -1e-9 for v in self):
+            raise ValueError(f"negative or NaN component in {tuple(self)}")
+        total = sum(self)
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"components sum to {total}, expected 1")
         return self
@@ -160,8 +159,6 @@ def run_rounds(
     initial = PauliDistribution.from_fidelity(f_in) if dist is None else dist.validate()
     records = tuple(
         RoundRecord(PauliDistribution(*comps), p_discard, p_total, rate)
-        for p_discard, comps, p_total, rate in _recurrence(
-            protocol, initial.as_tuple(), rounds, twirled
-        )
+        for p_discard, comps, p_total, rate in _recurrence(protocol, initial, rounds, twirled)
     )
     return PurificationTrace(protocol, twirled, initial, records)

@@ -131,8 +131,7 @@ def distillable_entanglement(f):
         g = 1.0 - f
         return 1.0 + f * float(np.log2(f)) + g * float(np.log2(g / 3.0 if g > 0.0 else 1.0))
     f = np.asarray(f, dtype=float)
-    # negated, so that NaN fails it too; a scalar takes one comparison
-    if not (0.0 < f.item() <= 1.0 if f.ndim == 0 else ((f > 0.0) & (f <= 1.0)).all()):
+    if not ((f > 0.0) & (f <= 1.0)).all():  # negated, so that NaN fails it too
         raise ValueError("fidelity must lie in (0, 1]")
     g = 1.0 - f
     return _scalar(1.0 + f * np.log2(f) + g * np.log2(np.where(g > 0.0, g / 3.0, 1.0)))

@@ -51,7 +51,8 @@ def test_distillable_entanglement_domain():
         distillable_entanglement(np.array([0.9, np.nan]))
 
 
-# the four forms of a scalar fidelity; each reaches the check as a float64 0-d array
+# the four forms of a scalar fidelity; an in-range float takes the float branch,
+# anything else reaches the range check as a float64 0-d array
 SCALAR_TYPES = [float, np.float64, np.float32, np.array]
 SCALAR_IDS = ["float", "float64", "float32", "0-d array"]
 
