@@ -24,7 +24,6 @@ import json
 import math
 import os
 import re
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -200,27 +199,28 @@ def render(table, fmt: str = "csv") -> str:
     return b"".join(_pieces(table, fmt)).decode()
 
 
-def write_table(path, table, fmt: str = "csv") -> None:
-    """Write atomically: the pieces :func:`render` joins go one by one into a
-    temp file in the target directory, which is then renamed into place."""
+def _write_atomic(path, pieces) -> None:
+    """Write the byte strings ``pieces`` one by one into a new temp sibling
+    of ``path``, made with the mode a plain ``open()`` gives a new file, and
+    rename it into place; on failure no file is left."""
     path = Path(path)
-    pieces = _pieces(table, fmt)
-    directory = path.parent
-    if not directory.is_dir():
-        raise FileNotFoundError(f"output directory {directory} does not exist")
-    fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=f".{path.name}.", suffix=".tmp")
+    if not path.parent.is_dir():
+        raise FileNotFoundError(f"output directory {path.parent} does not exist")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
-        # mkstemp makes the file 0600 and the rename keeps that mode: give it
-        # the mode a plain open() would, as for manifest.json
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(pieces)
-        os.replace(tmp_name, path)
+        os.replace(tmp, path)
     except BaseException:
         try:
-            os.unlink(tmp_name)
+            os.unlink(tmp)
         except OSError:
             pass
         raise
+
+
+def write_table(path, table, fmt: str = "csv") -> None:
+    """Write atomically: the pieces :func:`render` joins go one by one into a
+    temp file in the target directory, which is then renamed into place."""
+    _write_atomic(path, _pieces(table, fmt))

@@ -33,7 +33,6 @@ __all__ = [
     "ChainPlan",
     "RoundAccounting",
     "parse_rounds",
-    "format_plan",
     "run_chain",
     "rate_accounting",
 ]
@@ -44,7 +43,7 @@ SKIP = None  # rounds entry for "no distillation this round"
 @dataclass(frozen=True)
 class ChainPlan:
     """Repeater count plus the per-round code choice: a builtin code name
-    or SKIP."""
+    (an integer name is stored as its string) or SKIP."""
 
     n_repeaters: int
     rounds: tuple[str | None, str | None, str | None]
@@ -56,46 +55,34 @@ class ChainPlan:
                 f"repeater count must be 0 or odd, got {self.n_repeaters}"
             )
         if isinstance(self.rounds, str) or len(self.rounds) != 3:
-            raise ValueError("a plan has exactly 3 rounds")
-        object.__setattr__(self, "rounds", tuple(self.rounds))
+            raise ValueError(f"a plan has exactly 3 rounds, got {self.rounds!r}")
+        object.__setattr__(self, "rounds", tuple(r if r is SKIP else str(r) for r in self.rounds))
         names = builtin_names()
         for i, name in enumerate(self.rounds, start=1):
             if name is not SKIP and name not in names:
                 raise ValueError(
-                    f"round {i}: unknown code {name!r}; expected skip or one of {', '.join(names)}"
+                    f"round {i}: unknown code {name!r}; expected SKIP (None) or one of {', '.join(names)}"
                 )
 
     @property
-    def segment_counts(self) -> tuple[int, int, int]:
-        """Segments entering each round."""
-        s1 = self.n_repeaters + 1
-        s2 = s1 // 2 if s1 > 1 else 1
-        return (s1, s2, 1)
-
-    @property
     def swap_counts(self) -> tuple[int, int, int]:
-        """Swaps inside each surviving segment after each round: pairwise
-        merge after round 1, full merge after round 2, none after round 3."""
-        s1, s2, _ = self.segment_counts
-        return (1 if s1 > 1 else 0, s2 - 1, 0)
+        """Swaps inside each surviving segment after each round: the
+        n_R + 1 links merge pairwise after round 1 and fully after round 2,
+        none after round 3; a single link (n_R = 0) is never swapped."""
+        n = self.n_repeaters
+        return (1, (n - 1) // 2, 0) if n else (0, 0, 0)
 
     @property
     def label(self) -> str:
-        return format_plan(self)
+        rounds = ",".join("skip" if r is SKIP else r for r in self.rounds)
+        return f"repeaters={self.n_repeaters}; rounds={rounds}"
 
 
-def parse_rounds(spec: str) -> tuple[str | None, str | None, str | None]:
-    """Parse ``913,skip,933``: three code names, ``skip`` for no coding;
-    whitespace around an entry is dropped."""
-    entries = [e.strip() for e in spec.split(",")]
-    if len(entries) != 3:
-        raise ValueError(f"rounds must name exactly 3 codes or 'skip', got {spec!r}")
-    return tuple(SKIP if e.lower() == "skip" else e for e in entries)
-
-
-def format_plan(plan: ChainPlan) -> str:
-    rounds = ",".join("skip" if r is SKIP else r for r in plan.rounds)
-    return f"repeaters={plan.n_repeaters}; rounds={rounds}"
+def parse_rounds(spec: str) -> tuple[str | None, ...]:
+    """Spell ``913,skip,933`` as round entries: ``skip`` in any case is
+    SKIP and whitespace around an entry is dropped; :class:`ChainPlan`
+    checks them."""
+    return tuple(SKIP if e.lower() == "skip" else e for e in map(str.strip, spec.split(",")))
 
 
 @_blocked

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import os
 import sys
@@ -201,9 +202,7 @@ def _cmd_repro(args) -> int:
     run("converge_bbpssw", ["converge", "--protocol", "bbpssw", "--start", "0.6,0.1333,0.1333,0.1334", "--n", "50"])
     run("converge_dejmps", ["converge", "--protocol", "dejmps", "--start", "0.6,0.1333,0.1333,0.1334", "--n", "50"])
 
-    import json
-
-    (outdir / "manifest.json").write_bytes((json.dumps(manifest, indent=2) + "\n").encode())
+    _output._write_atomic(outdir / "manifest.json", [(json.dumps(manifest, indent=2) + "\n").encode()])
     sys.stderr.write(f"wrote {len(manifest)} tables to {outdir.resolve()}\n")
     return 0
 

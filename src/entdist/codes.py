@@ -29,7 +29,7 @@ class StabilizerCode:
     """An [[n, k, d]] stabilizer code given by generators and logicals.
 
     ``d`` is stored metadata; :func:`validate_code` can re-derive it
-    exhaustively for n <= 9.
+    exhaustively for n <= 10.
     """
 
     name: str

@@ -26,7 +26,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codes import builtin_code
 from .decoder import LogicalFidelityPolynomial, builtin_polynomial, eval_qec_map
 from .purify import _depolarized, _recurrence
 from .werner import _check_count, _root, distillable_entanglement
@@ -138,7 +137,6 @@ def hybrid_run(f_in: float, code_name: str = "933") -> HybridResult:
     """DEJMPS to the code's pseudo-threshold, Werner twirl, one QEC round."""
     if not 0.0 <= f_in <= 1.0:
         raise ValueError("fidelity must lie in [0, 1]")
-    code = builtin_code(code_name)
     poly = builtin_polynomial(code_name)
     threshold = builtin_threshold(code_name)
     # each search rescans the pairs seen so far and walks on only as far as it needs
@@ -150,9 +148,9 @@ def hybrid_run(f_in: float, code_name: str = "933") -> HybridResult:
     f_at_threshold, p_total = seen[i_pre]
     # the Werner twirl keeps the fidelity, which is all the QEC map reads
     f_out = eval_qec_map(poly, f_at_threshold)
-    rate = code.k / (2.0**i_pre * code.n) * (1.0 - p_total)
+    rate = poly.k / (2.0**i_pre * poly.n) * (1.0 - p_total)
     i_match = _first_at_least((f for f, _ in itertools.chain(seen, walk)), f_out)
-    return HybridResult(f_in, code.name, i_pre, f_at_threshold, f_out, rate, p_total, i_match)
+    return HybridResult(f_in, poly.code_name, i_pre, f_at_threshold, f_out, rate, p_total, i_match)
 
 
 def default_scan_grid(points: int = 10000) -> np.ndarray:
@@ -186,7 +184,6 @@ def checkpoint_scan(code_name: str = "933", grid=None) -> np.recarray:
     inside = (grid > 0.501 - 1e-12) & (grid < 1.0)  # False for NaN
     if not inside.all():
         raise ValueError(f"scan grid must lie inside [0.501, 1), got {grid[~inside][0]}")
-    code = builtin_code(code_name)
     poly = builtin_polynomial(code_name)
     threshold = builtin_threshold(code_name)
     fids, discards = _dejmps_table(grid)
@@ -208,7 +205,7 @@ def checkpoint_scan(code_name: str = "933", grid=None) -> np.recarray:
         raise _unreachable(f"distillable entanglement {BASELINE_D}", grid[low][0])
 
     f_hybrid = eval_qec_map(poly, fids[i_pre, cols])
-    ratio_hybrid = code.k / (2.0**i_pre * code.n)
+    ratio_hybrid = poly.k / (2.0**i_pre * poly.n)
     p_hybrid = discards[i_pre, cols]
     rate_hybrid = ratio_hybrid * (1.0 - p_hybrid)
     eff_hybrid = _refined(ratio_hybrid, f_hybrid, d_base, p_hybrid)

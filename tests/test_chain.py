@@ -7,7 +7,6 @@ from closed_form_oracle import swap_fidelity
 from entdist.chain import (
     SKIP,
     ChainPlan,
-    format_plan,
     parse_rounds,
     rate_accounting,
     run_chain,
@@ -53,7 +52,6 @@ def test_swap_schedule():
     assert ChainPlan(3, P3).swap_counts == (1, 1, 0)
     assert ChainPlan(5, P3).swap_counts == (1, 2, 0)
     assert ChainPlan(7, P3).swap_counts == (1, 3, 0)
-    assert ChainPlan(5, P3).segment_counts == (6, 3, 1)
 
 
 def test_plan_label():
@@ -62,7 +60,6 @@ def test_plan_label():
         (ChainPlan(1, ("513", SKIP, SKIP)), "repeaters=1; rounds=513,skip,skip"),
         (ChainPlan(0, (SKIP, "713", SKIP)), "repeaters=0; rounds=skip,713,skip"),
     ):
-        assert format_plan(plan) == text
         assert plan.label == text
 
 
@@ -73,12 +70,32 @@ def test_unknown_code_is_refused_when_the_plan_is_built():
         ChainPlan(1, (" 913", SKIP, SKIP))
 
 
+def test_integer_code_names_are_stored_as_strings():
+    plan = ChainPlan(1, (913, 923, 933))
+    assert plan.rounds == P3
+    assert plan == ChainPlan(1, P3)
+    assert hash(plan) == hash(ChainPlan(1, P3))
+    assert plan.label == "repeaters=1; rounds=913,923,933"
+    grid = np.linspace(0.0, 1.0, 101)
+    assert np.array_equal(run_chain(plan, grid), run_chain(ChainPlan(1, P3), grid))
+    assert ChainPlan(3, (513, SKIP, 713)).rounds == ("513", SKIP, "713")
+    with pytest.raises(ValueError, match="round 2: unknown code '914'"):
+        ChainPlan(1, (913, 914, 933))
+
+
+def test_unknown_code_message_names_the_library_skip():
+    # "skip" is only the command line's spelling; the library's is SKIP
+    with pytest.raises(ValueError, match=r"unknown code 'skip'; expected SKIP \(None\) or one of 913, "):
+        ChainPlan(1, ("913", "skip", "933"))
+
+
 def test_parse_rounds():
     assert parse_rounds("513,skip,SKIP") == ("513", SKIP, SKIP)
     assert parse_rounds("913, skip ,\t933 ") == ("913", SKIP, "933")
+    # the count is the plan's one check, whose message names what it got
     for bad in ("913,923", "913,923,933,933", ""):
-        with pytest.raises(ValueError, match="exactly 3"):
-            parse_rounds(bad)
+        with pytest.raises(ValueError, match="exactly 3 rounds, got"):
+            ChainPlan(1, parse_rounds(bad))
 
 
 def test_perfect_input_stays_perfect():

@@ -284,13 +284,19 @@ def test_purify_explicit_distribution_matches_run_rounds(capsys):
 @pytest.fixture(scope="module")
 def repro_run(tmp_path_factory):
     """One full ``repro`` into a relative ``--outdir``, under junk values of
-    the environment variables that once set grid sizes and output paths:
+    the environment variables that once set grid sizes and output paths and
+    with ``os.umask`` refused, as no file write may read it by setting it:
     (exit code, stderr, the directory written)."""
     cwd = tmp_path_factory.mktemp("repro")
     err = io.StringIO()
+
+    def refuse(mask):
+        raise AssertionError("os.umask called")
+
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
         mp.setenv("ENTDIST_GRID_POINTS", "x")
         mp.setenv("ENTDIST_OUTDIR", "junk")
+        mp.setattr(os, "umask", refuse)
         mp.chdir(cwd)
         code = main(["repro", "--outdir", "out"])
     return code, err.getvalue(), cwd / "out"
@@ -308,10 +314,33 @@ def test_repro_matches_golden_digests(repro_run):
 
 
 def test_repro_tables_have_the_manifest_mode(repro_run):
+    # the manifest shares the tables' writer: both get the mode of a plain open
     _, _, outdir = repro_run
     modes = {p.name: p.stat().st_mode for p in outdir.iterdir()}
-    assert len(modes) == 31
-    assert set(modes.values()) == {modes["manifest.json"]}
+    probe = outdir / "probe"
+    try:
+        with open(probe, "wb"):
+            pass
+        assert len(modes) == 31
+        assert set(modes.values()) == {probe.stat().st_mode}
+    finally:
+        probe.unlink(missing_ok=True)
+
+
+def test_repro_failing_manifest_rename_leaves_no_manifest(tmp_path, monkeypatch, capsys):
+    replace = os.replace
+
+    def refuse_manifest(src, dst):
+        if Path(dst).name == "manifest.json":
+            raise OSError("manifest rename refused")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", refuse_manifest)
+    code, _, err = run_cli(capsys, "repro", "--outdir", str(tmp_path))
+    assert code == 2 and "manifest rename refused" in err
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert len(names) == 30 and "manifest.json" not in names
+    assert not [name for name in names if name.endswith(".tmp")]
 
 
 def test_efficiency_switchpoints(capsys):

@@ -191,15 +191,26 @@ def test_write_table_failing_after_first_block_leaves_no_file(tmp_path):
     "umask, mode", [(0o022, 0o644), (0o002, 0o664), (0o077, 0o600)], ids=["022", "002", "077"]
 )
 def test_written_table_gets_the_mode_of_a_plain_open(tmp_path, umask, mode):
-    # mkstemp creates the temp file 0600 and the rename keeps that mode
+    # the rename keeps the temp file's mode, so it is created as open() creates a file
     old = os.umask(umask)
     try:
         write_table(tmp_path / "t.csv", {"x": [1]})
-        (tmp_path / "manifest.json").write_bytes(b"[]\n")
+        (tmp_path / "probe").write_bytes(b"")
     finally:
         os.umask(old)
     assert stat.S_IMODE((tmp_path / "t.csv").stat().st_mode) == mode
-    assert stat.S_IMODE((tmp_path / "manifest.json").stat().st_mode) == mode
+    assert stat.S_IMODE((tmp_path / "probe").stat().st_mode) == mode
+
+
+def test_write_table_never_reads_the_umask(tmp_path, monkeypatch):
+    # reading it means setting it: a window in which every thread's files
+    # get a umask of 0
+    def refuse(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", refuse)
+    write_table(tmp_path / "t.csv", {"x": [1]})
+    assert (tmp_path / "t.csv").read_bytes() == b"x\n1\n"
 
 
 def test_float_columns_keep_17_digits():
