@@ -159,6 +159,11 @@ def _gf2_rank(rows: list[int]) -> int:
     return len(basis)
 
 
+def _anticommuting(rows, cols) -> list[tuple[int, int]]:
+    """The row-major (i, j) pairs whose rows[i] and cols[j] anticommute."""
+    return [(i, j) for i, a in enumerate(rows) for j, b in enumerate(cols) if not commutes_with(a, b)]
+
+
 def validate_code(code: StabilizerCode, check_distance: bool = False) -> tuple[CheckResult, ...]:
     """The structural invariants of a code, one named :class:`CheckResult` each.
 
@@ -186,33 +191,20 @@ def validate_code(code: StabilizerCode, check_distance: bool = False) -> tuple[C
     if not sizes_ok:
         return tuple(checks)
 
-    bad = [
-        (i, j)
-        for i in range(len(code.stabilizers))
-        for j in range(i + 1, len(code.stabilizers))
-        if not commutes_with(code.stabilizers[i], code.stabilizers[j])
-    ]
+    bad = [(i, j) for i, j in _anticommuting(code.stabilizers, code.stabilizers) if i < j]
     check("stabilizers_commute", not bad, f"anticommuting generator pairs: {bad}")
 
     rows = [(p.x << n) | p.z for p in code.stabilizers]
     rank = _gf2_rank(rows)
     check("generator_independence", rank == n - k, f"symplectic rank {rank}, expected {n - k}")
 
-    bad = [
-        (li, si)
-        for li, lop in enumerate(code.logical_x + code.logical_z)
-        for si, s in enumerate(code.stabilizers)
-        if not commutes_with(lop, s)
-    ]
+    bad = _anticommuting(code.logical_x + code.logical_z, code.stabilizers)
     check("logicals_commute_with_stabilizers", not bad,
           f"anticommuting (logical, stabilizer) pairs: {bad}")
 
-    bad = [
-        (i, j)
-        for i in range(len(code.logical_x))
-        for j in range(len(code.logical_z))
-        if commutes_with(code.logical_x[i], code.logical_z[j]) != (i != j)
-    ]
+    # logical X_i must anticommute with Z_i and commute with every other Z_j
+    diagonal = {(i, i) for i in range(min(len(code.logical_x), len(code.logical_z)))}
+    bad = sorted(set(_anticommuting(code.logical_x, code.logical_z)) ^ diagonal)
     check("logical_pairing", not bad, f"wrong X/Z pairing at indices: {bad}")
 
     if check_distance and all(c.passed for c in checks):
@@ -264,4 +256,4 @@ def parse_code_text(text: str) -> StabilizerCode:
 
 
 def load_code(path) -> StabilizerCode:
-    return parse_code_text(Path(path).read_text(encoding="utf-8"))
+    return parse_code_text(Path(path).read_text(encoding="utf-8-sig"))

@@ -7,6 +7,9 @@ used in the convergence analysis:
     BBPSSW:  s = a + d, t = b + c        DEJMPS:  s = a + c, t = b + d
     u = s/t,  r = d/a,  q = (1 - r)/(1 + r)
 
+Both are s = a + z, t = b + y after the Y/Z relabeling of the purify map,
+which for DEJMPS swaps c and d.
+
 For BBPSSW (a, d) -> (1/2, 1/2); for DEJMPS u need not improve every step
 but eventually grows without bound and (a, d) -> (1, 0).
 :func:`check_identities` returns these as named checks
@@ -79,10 +82,8 @@ def iterate(protocol: str, start, n_max: int) -> ConvergenceTrace:
     start = (a0, b0, c0, d0)
     rows = np.array([start] + [comps for _, comps, _, _ in _recurrence(protocol, start, n_max)])
     a, b, c, d = rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]
-    if protocol == "bbpssw":
-        s, t = a + d, b + c
-    else:
-        s, t = a + c, b + d
+    y, z = (d, c) if protocol == "dejmps" else (c, d)
+    s, t = a + z, b + y
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u = np.where(t > 0.0, s / np.where(t > 0.0, t, 1.0), np.inf)
         r = np.where(a > 0.0, d / np.where(a > 0.0, a, 1.0), np.inf)

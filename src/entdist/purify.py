@@ -89,10 +89,9 @@ def _step(protocol: str, i, x, y, z):
     """One round on components that are all floats or all equal-shape
     arrays (plain arithmetic, so floats stay floats): the survivor
     components, their sum and the discard probability."""
-    if protocol == "bbpssw":
-        raw = (i * i + z * z, x * x + y * y, 2.0 * x * y, 2.0 * i * z)
-    else:
-        raw = (i * i + y * y, x * x + z * z, 2.0 * x * z, 2.0 * i * y)
+    if protocol == "dejmps":  # the pre-rotations relabel Y <-> Z
+        y, z = z, y
+    raw = (i * i + z * z, x * x + y * y, 2.0 * x * y, 2.0 * i * z)
     kept = raw[0] + raw[1] + raw[2] + raw[3]
     # exact max(1 - kept, 0) for floats and arrays; it only guards rounding
     shortfall = 1.0 - kept

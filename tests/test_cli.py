@@ -12,8 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from entdist import codes
 from entdist._output import format_cell
 from entdist.cli import _write, main
+from entdist.codes import load_code
 from entdist.purify import PauliDistribution, run_rounds
 
 GOLDEN_DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "golden" / "repro_sha256.json"
@@ -594,3 +596,33 @@ def test_repro_writes_manifest(repro_run):
     assert {entry["file"] for entry in manifest} == written
     assert len(manifest) == len(written) == 30
     assert all(entry["argv"] for entry in manifest)
+
+
+def test_code_file_with_a_byte_order_mark_validates(capsys, tmp_path):
+    # editors on Windows start UTF-8 files with U+FEFF
+    plain, bom = tmp_path / "five.txt", tmp_path / "bom.txt"
+    plain.write_text(FIVE_QUBIT_FILE.format(d=3), encoding="utf-8")
+    bom.write_text(FIVE_QUBIT_FILE.format(d=3), encoding="utf-8-sig")
+    assert bom.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    assert load_code(bom) == load_code(plain)
+    expected = run_cli(capsys, "codes", "validate", str(plain))
+    assert expected[0] == 0
+    assert run_cli(capsys, "codes", "validate", str(bom)) == expected
+
+
+def test_malformed_grid_points_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["map", "qec", "--grid", "0:1:x"])
+    assert exc.value.code == 2
+    assert "malformed grid '0:1:x'" in capsys.readouterr().err
+
+
+def test_repro_names_the_failing_step(tmp_path, monkeypatch, capsys):
+    def refuse(code, check_distance=False):
+        raise ValueError("validation refused")
+
+    monkeypatch.setattr(codes, "validate_code", refuse)
+    with pytest.raises(SystemExit, match="repro step codes_validation failed with exit code 2"):
+        main(["repro", "--outdir", str(tmp_path)])
+    assert "error: validation refused" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -23,6 +23,14 @@ def code_text(code):
     return "\n".join(rows) + "\n"
 
 
+def results(code):
+    return [(c.name, c.passed, c.detail) for c in validate_code(code)]
+
+
+def passing(*names):
+    return [(name, True, "") for name in names]
+
+
 def test_builtin_names():
     assert builtin_names() == ("913", "923", "933", "513", "713")
 
@@ -68,8 +76,11 @@ def test_anticommuting_stabilizers_fail():
 
 def test_duplicate_stabilizers_fail_rank():
     bad = StabilizerCode("dup", 3, 1, 1, (P("ZZI"), P("ZZI")), (P("XXX"),), (P("ZII"),))
-    checks = validate_code(bad)
-    assert any(c.name == "generator_independence" and not c.passed for c in checks)
+    assert results(bad) == [
+        *passing("shape", "stabilizers_commute"),
+        ("generator_independence", False, "symplectic rank 1, expected 2"),
+        *passing("logicals_commute_with_stabilizers", "logical_pairing"),
+    ]
 
 
 def rank_by_elimination(rows, width):
@@ -138,3 +149,67 @@ def test_signed_rows_load_as_unsigned():
     assert parse_code_text(text("-ZZI", "iIZZ", "-iXXX", "+ZII")) == parse_code_text(
         text("ZZI", "IZZ", "XXX", "ZII")
     )
+
+
+def test_anticommuting_stabilizer_pairs_are_listed_in_order():
+    code = StabilizerCode("sc", 3, 0, 1, (P("XII"), P("ZII"), P("IXI"), P("YZI")), (), ())
+    assert results(code) == [
+        ("shape", False, "expected 3 stabilizers and 0+0 logicals on 3 qubits"),
+        ("stabilizers_commute", False,
+         "anticommuting generator pairs: [(0, 1), (0, 3), (1, 3), (2, 3)]"),
+        ("generator_independence", False, "symplectic rank 4, expected 3"),
+        *passing("logicals_commute_with_stabilizers", "logical_pairing"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "lx, lz, pairs, pairing",
+    [
+        # X logicals come first in the logical index, then the Z logicals
+        ("XII", "ZZZ", "[(0, 0)]", ""),
+        ("XXX", "XII", "[(1, 0)]", "wrong X/Z pairing at indices: [(0, 0)]"),
+    ],
+)
+def test_logicals_anticommuting_with_stabilizers_are_listed(lx, lz, pairs, pairing):
+    code = StabilizerCode("lc", 3, 1, 1, (P("ZZI"), P("IZZ")), (P(lx),), (P(lz),))
+    assert results(code) == [
+        *passing("shape", "stabilizers_commute", "generator_independence"),
+        ("logicals_commute_with_stabilizers", False,
+         f"anticommuting (logical, stabilizer) pairs: {pairs}"),
+        ("logical_pairing", not pairing, pairing),
+    ]
+
+
+@pytest.mark.parametrize(
+    "lx, lz, bad",
+    [
+        # a commuting diagonal pair and an anticommuting off-diagonal pair
+        (("XII", "IXI"), ("IIZ", "ZZI"), "[(0, 0), (0, 1)]"),
+        # unequal counts: the diagonal stops at the shorter list
+        (("XXX",), ("ZII", "ZZZ"), "[(0, 1)]"),
+        (("XXX", "XXX"), ("ZZZ",), "[(1, 0)]"),
+    ],
+)
+def test_wrong_logical_pairing_lists_its_indices(lx, lz, bad):
+    k = len(lx)
+    code = StabilizerCode("pair", 3, k, 1, (P("ZZZ"),) * (3 - k),
+                          tuple(map(P, lx)), tuple(map(P, lz)))
+    checks = results(code)
+    assert checks[-1] == ("logical_pairing", False, f"wrong X/Z pairing at indices: {bad}")
+    assert [c[0] for c in checks] == ["shape", "stabilizers_commute", "generator_independence",
+                                     "logicals_commute_with_stabilizers", "logical_pairing"]
+
+
+def test_wrong_length_operator_returns_only_the_shape_check():
+    code = StabilizerCode("short", 3, 1, 1, (P("ZZ"), P("IZZ")), (P("XXX"),), (P("ZII"),))
+    assert results(code) == [
+        ("shape", False, "expected 2 stabilizers and 1+1 logicals on 3 qubits"),
+    ]
+    assert validate_code(code, check_distance=True) == validate_code(code)
+
+
+def test_blank_and_comment_lines_are_skipped():
+    plain = code_text(builtin_code("513"))
+    lines = plain.splitlines()
+    noisy = "\n".join(["# five-qubit code", "", *lines[:4], "   ", "  # stabilizers follow", *lines[4:], ""])
+    assert parse_code_text(noisy) == parse_code_text(plain) == builtin_code("513")

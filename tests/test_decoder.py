@@ -423,3 +423,10 @@ def test_export_rows(polys):
 
 def test_builtin_polynomial_cached():
     assert builtin_polynomial("933") is builtin_polynomial("933")
+
+
+def test_code_distance_refuses_a_code_without_logicals():
+    state = StabilizerCode("bell", 2, 0, 2, (P("XX"), P("ZZ")), (), ())
+    assert all(c.passed for c in validate_code(state))
+    with pytest.raises(ValueError, match=r"no logical operators \(k = 0\?\)"):
+        code_distance(state)

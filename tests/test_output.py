@@ -278,3 +278,8 @@ def test_unequal_columns_raise(fmt, tmp_path):
     with pytest.raises(ValueError, match="unequal length"):
         write_table(tmp_path / "t.csv", table, fmt)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_unknown_format_raises():
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        render({"a": [1]}, "xml")

@@ -141,3 +141,28 @@ def test_multiply_weight_bounds_random(n, data):
     a = PauliString(n, data.draw(bits), data.draw(bits))
     b = PauliString(n, data.draw(bits), data.draw(bits))
     assert 0 <= weight(multiply(a, b)) <= n
+
+
+def test_constructor_refuses_bad_sizes():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"qubit count must be positive, got {n}"):
+            PauliString(n, 0, 0)
+    for x, z in ((0b100, 0), (0, 0b100), (-1, 0)):
+        with pytest.raises(ValueError, match="bitmask exceeds qubit count"):
+            PauliString(2, x, z)
+
+
+def test_letter_index_out_of_range():
+    p = P("XZ")
+    for j in (-1, 2):
+        with pytest.raises(IndexError):
+            p.letter(j)
+
+
+def test_repr_shows_the_unsigned_letters():
+    assert repr(P("-iYIZ")) == "PauliString('YIZ')"
+
+
+def test_commutes_with_refuses_a_size_mismatch():
+    with pytest.raises(ValueError, match="qubit count mismatch: 1 vs 2"):
+        commutes_with(P("X"), P("XX"))

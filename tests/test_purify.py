@@ -310,3 +310,16 @@ def test_kernel_equals_oracle_exactly(raw):
         assert raw == raw_ref
         assert out == out_ref
         assert p_discard == pytest.approx(p_discard_ref, abs=1e-15)
+
+
+def test_dejmps_step_is_bbpssw_with_y_and_z_swapped():
+    def bits(protocol, comps, key):
+        raw, kept, p_discard = _step(protocol, *comps)
+        return [key(v) for v in (*raw, kept, p_discard)]
+
+    rng = np.random.default_rng(33)
+    for lanes in rng.dirichlet(np.ones(4), size=(50, 7)):
+        swapped = lanes[:, [0, 1, 3, 2]]
+        assert bits("dejmps", lanes.T, np.ndarray.tobytes) == bits("bbpssw", swapped.T, np.ndarray.tobytes)
+        for point, swap in zip(lanes.tolist(), swapped.tolist()):
+            assert bits("dejmps", point, float.hex) == bits("bbpssw", swap, float.hex)
