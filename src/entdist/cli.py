@@ -171,12 +171,11 @@ def _cmd_repro(args) -> int:
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
     outdir = Path(args.outdir or f"entdist_repro_{stamp}")
     outdir.mkdir(parents=True, exist_ok=True)
-    fmt = args.format
-    ext = "csv" if fmt == "csv" else "json"
+    fmt = args.format  # the file extension too
     manifest = []
 
     def run(name, argv):
-        path = outdir / f"{name}.{ext}"
+        path = outdir / f"{name}.{fmt}"
         code = main(argv + ["--output", str(path), "--format", fmt])
         if code != 0:
             raise SystemExit(f"repro step {name} failed with exit code {code}")
@@ -219,9 +218,12 @@ def _four_floats(spec: str):
     return a, b, c, d
 
 
-def _add_common(sub):
+def _leaf(sub, func):
+    """Finish a leaf command's parser, after its own arguments: the common
+    ``--output`` and ``--format``, and ``func`` to run it."""
     sub.add_argument("--output", "-o", help="output file (default: stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
+    sub.set_defaults(func=func)
 
 
 @functools.lru_cache(maxsize=None)  # one parser per process: repro calls main once per step
@@ -234,12 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("codes", help="list or validate the stabilizer code registry")
     actions = p.add_subparsers(dest="action", required=True)
-    listing = actions.add_parser("list", help="the builtin codes' parameters")
+    _leaf(actions.add_parser("list", help="the builtin codes' parameters"), _cmd_codes_list)
     validate = actions.add_parser("validate", help="check codes' structural invariants and distance")
     validate.add_argument("names", nargs="*", help="code names or code files (default: all builtin)")
-    for p, func in ((listing, _cmd_codes_list), (validate, _cmd_codes_validate)):
-        _add_common(p)
-        p.set_defaults(func=func)
+    _leaf(validate, _cmd_codes_validate)
 
     p = sub.add_parser("map", help="single-code or full-chain fidelity maps")
     maps = p.add_subparsers(dest="target", required=True)
@@ -252,15 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
     full_chain.add_argument("--rounds", default="913,923,933", help="3 comma-separated code names or 'skip'")
     for p, grid_owner, func in ((qec, group, _cmd_map_qec), (full_chain, full_chain, _cmd_map_chain)):
         grid_owner.add_argument("--grid", type=_parse_grid, default="0:1:1000", help="fidelity grid min:max:points")
-        _add_common(p)
-        p.set_defaults(func=func)
+        _leaf(p, func)
 
     p = sub.add_parser("efficiency", help="protocol efficiency curves, envelope, switching points")
     p.add_argument("--repeaters", type=int, default=1)
     p.add_argument("--protocols", default="P1,P2,P3,P4")
     p.add_argument("--grid", type=_parse_grid)
-    _add_common(p)
-    p.set_defaults(func=_cmd_efficiency)
+    _leaf(p, _cmd_efficiency)
 
     p = sub.add_parser("purify", help="recurrence purification sweeps")
     p.add_argument("--protocol", choices=purify.PROTOCOLS, required=True)
@@ -272,21 +270,18 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--grid", type=_parse_grid, default="0:1:10000", help="fidelity grid min:max:points")
     group.add_argument("--input-dist", type=_four_floats, metavar="PI,PX,PY,PZ",
                        help="explicit start distribution instead of a fidelity grid")
-    _add_common(p)
-    p.set_defaults(func=_cmd_purify)
+    _leaf(p, _cmd_purify)
 
     p = sub.add_parser("hybrid", help="purify-then-encode scan and refined efficiency")
     p.add_argument("--code", default="933")
     p.add_argument("--grid", type=_parse_grid)
-    _add_common(p)
-    p.set_defaults(func=_cmd_hybrid)
+    _leaf(p, _cmd_hybrid)
 
     p = sub.add_parser("converge", help="no-twirl recursion traces and identity checks")
     p.add_argument("--protocol", choices=purify.PROTOCOLS, required=True)
     p.add_argument("--start", type=_four_floats, required=True, metavar="A,B,C,D")
     p.add_argument("--n", type=int, default=50)
-    _add_common(p)
-    p.set_defaults(func=_cmd_converge)
+    _leaf(p, _cmd_converge)
 
     p = sub.add_parser("repro", help="write the full reproduction suite to a directory")
     p.add_argument("--outdir", help="target directory (default: timestamped)")

@@ -178,15 +178,15 @@ def eval_qec_map(poly: LogicalFidelityPolynomial, f_in):
 
 
 def code_distance(code: StabilizerCode) -> int:
-    """Minimum weight over operators that commute with every stabilizer
-    but act nontrivially on some logical qubit (exhaustive; n <= 10)."""
+    """Minimum weight over the nontrivial operators that commute with every
+    stabilizer: for k >= 1, those acting on some logical qubit; for k = 0 (a
+    stabilizer state, whose commuting operators are its stabilizer group),
+    those other than the identity.  Exhaustive; n <= 10."""
     n = code.n
     w = _weights(n)
     in_centralizer = _syndromes(code.stabilizers, n) == 0
-    candidates = in_centralizer & (_syndromes(code.logical_x + code.logical_z, n) != 0)
-    if not candidates.any():
-        raise ValueError("code has no logical operators (k = 0?)")
-    return int(w[candidates].min())
+    nontrivial = (_syndromes(code.logical_x + code.logical_z, n) != 0) if code.k else (w > 0)
+    return int(w[in_centralizer & nontrivial].min())
 
 
 @lru_cache(maxsize=None)

@@ -110,11 +110,9 @@ def min_rounds_to_fidelity(f_in: float, target: float) -> int | None:
         raise ValueError("input fidelity must lie in (0, 1]")
     if not 0.5 < target < 1.0:
         raise ValueError("target fidelity must lie in (0.5, 1)")
-    if f_in >= target:
-        return 0
     if f_in <= 0.5:
         return None
-    return _first_at_least((f for f, _ in _dejmps(f_in)), target)  # lazy: stops at the answer
+    return _first_at_least((f for f, _ in _dejmps(f_in)), target)  # lazy; row 0 is f_in itself
 
 
 @dataclass(frozen=True)

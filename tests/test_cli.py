@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entdist import codes
+from entdist import cli, codes
 from entdist._output import format_cell
 from entdist.cli import _write, main
 from entdist.codes import load_code
@@ -82,6 +82,61 @@ def test_codes_validate_code_file(capsys, tmp_path):
     path.write_text(FIVE_QUBIT_FILE.format(d=3).replace("name=five\n", ""))
     code, _, err = run_cli(capsys, "codes", "validate", str(path))
     assert code == 2 and "missing header lines: name" in err
+
+
+def test_codes_validate_a_stabilizer_state_file(capsys, tmp_path):
+    # k = 0 is a valid code: its distance is a check like any other
+    path = tmp_path / "bell.txt"
+    path.write_text("name=bell\nn=2\nk=0\nd=2\nH:\nXX\nZZ\n")
+    code, out, _ = run_cli(capsys, "codes", "validate", str(path))
+    assert code == 0
+    _, rows = csv_rows(out)
+    assert rows[-1] == ["bell", "distance", "pass", ""]
+    assert all(row[2] == "pass" for row in rows)
+
+
+LEAF_COMMANDS = {
+    ("codes", "list"): cli._cmd_codes_list,
+    ("codes", "validate"): cli._cmd_codes_validate,
+    ("map", "qec"): cli._cmd_map_qec,
+    ("map", "chain"): cli._cmd_map_chain,
+    ("efficiency",): cli._cmd_efficiency,
+    ("purify",): cli._cmd_purify,
+    ("hybrid",): cli._cmd_hybrid,
+    ("converge",): cli._cmd_converge,
+}
+
+
+def command_parsers(parser, path=()):
+    """Every parser of the command tree that has no subcommands, by path."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {path: parser}
+    return {
+        leaf: p
+        for name, child in subs[0].choices.items()
+        for leaf, p in command_parsers(child, path + (name,)).items()
+    }
+
+
+def format_option(parser):
+    (fmt,) = [a for a in parser._actions if a.dest == "format"]
+    return fmt.option_strings, fmt.choices, fmt.default
+
+
+def test_every_leaf_command_takes_output_and_format():
+    parsers = command_parsers(cli.build_parser())
+    assert parsers.keys() == LEAF_COMMANDS.keys() | {("repro",)}
+    for path, func in LEAF_COMMANDS.items():
+        parser = parsers[path]
+        (output,) = [a for a in parser._actions if a.dest == "output"]
+        assert output.option_strings == ["--output", "-o"] and output.default is None
+        assert format_option(parser) == (["--format"], ("csv", "json"), "csv")
+        assert parser.get_default("func") is func
+    # repro writes a directory of files, in the same formats
+    repro = parsers[("repro",)]
+    assert format_option(repro) == (["--format"], ("csv", "json"), "csv")
+    assert repro.get_default("func") is cli._cmd_repro
 
 
 def test_codes_validate_refuses_more_than_10_qubits(capsys, tmp_path):

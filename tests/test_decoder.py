@@ -1,13 +1,14 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import bitmatrix_oracle as oracle
 from decoder_oracle import canonical_key, classify_error, entries, syndrome_of, weight
-from entdist.codes import StabilizerCode, builtin_code, builtin_names, load_code, validate_code
+from entdist.codes import CheckResult, StabilizerCode, builtin_code, builtin_names, load_code, validate_code
 from entdist.decoder import (
     build_lookup_table,
     builtin_polynomial,
@@ -425,8 +426,17 @@ def test_builtin_polynomial_cached():
     assert builtin_polynomial("933") is builtin_polynomial("933")
 
 
-def test_code_distance_refuses_a_code_without_logicals():
-    state = StabilizerCode("bell", 2, 0, 2, (P("XX"), P("ZZ")), (), ())
-    assert all(c.passed for c in validate_code(state))
-    with pytest.raises(ValueError, match=r"no logical operators \(k = 0\?\)"):
-        code_distance(state)
+def test_code_distance_of_a_stabilizer_state():
+    # k = 0: the commuting operators are the stabilizer group, so d is the
+    # least weight of a non-identity stabilizer
+    for name, generators in (("bell", ("XX", "ZZ")), ("ghz3", ("XXX", "ZZI", "IZZ"))):
+        state = StabilizerCode(name, len(generators), 0, 2, tuple(map(P, generators)), (), ())
+        assert code_distance(state) == 2
+        checks = validate_code(state, check_distance=True)
+        assert [c.name for c in checks] == [
+            "shape", "stabilizers_commute", "generator_independence",
+            "logicals_commute_with_stabilizers", "logical_pairing", "distance",
+        ]
+        assert all(c.passed for c in checks)
+        checks = validate_code(replace(state, d=3), check_distance=True)
+        assert checks[-1] == CheckResult("distance", False, "computed d=2, stored d=3")

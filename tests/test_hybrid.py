@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import astuple
 
@@ -101,8 +102,17 @@ def consumed(monkeypatch):
 
 
 def test_min_rounds_stops_at_its_round(consumed):
-    assert min_rounds_to_fidelity(0.85, 0.9563) == 2
+    target = 0.9563
+    assert min_rounds_to_fidelity(0.85, target) == 2
     assert len(consumed) == 2
+    # from the target up the answer is row 0, f_in itself: no round is taken
+    consumed.clear()
+    for f_in in (target, 1.0, math.nextafter(target, 1.0)):
+        assert min_rounds_to_fidelity(f_in, target) == 0
+    assert consumed == []
+    # one ulp below the target it walks
+    assert min_rounds_to_fidelity(math.nextafter(target, 0.0), target) == 1
+    assert len(consumed) == 1
 
 
 def test_hybrid_run_stops_at_its_match(consumed, monkeypatch):
