@@ -166,7 +166,8 @@ def eval_qec_map(poly: LogicalFidelityPolynomial, f_in):
     """
     f = _in_range(f_in, what="input fidelity")
     e = (1.0 - f) / 3.0
-    # in place on arrays; a 0-d f gives numpy scalars (the C library's pow)
+    # in place on arrays; a scalar f stays a 0-d array, whose powers take
+    # numpy's SIMD loop, and only e is a numpy scalar (the C library's pow)
     out = np.zeros_like(f)[()]
     for w, a in enumerate(poly.counts):
         if a:

@@ -69,27 +69,31 @@ def _dejmps(f_in):
         yield comps[0], p_total
 
 
-def _dejmps_table(grid: np.ndarray):
-    """:func:`_dejmps` on a 1-D grid, bit for bit: (MAX_ROUNDS + 1, N)
-    float64 tables of fidelity and cumulative discard, row i = after i
-    rounds, one column per grid point.  Each round is written into its row
-    as it is made, so no round outlives the next."""
-    fids = np.empty((MAX_ROUNDS + 1, grid.size))
-    discards = np.empty_like(fids)
-    for i, (fid, discard) in enumerate(_dejmps(grid)):
-        fids[i], discards[i] = fid, discard
-    return fids, discards
-
-
-def _first_true(table: np.ndarray):
-    """Per column of a boolean table, the first true row (0 if none) and
-    whether there is one."""
-    return table.argmax(axis=0), table.any(axis=0)
-
-
 def _first_at_least(values, bar) -> int | None:
     """Index of the first value that reaches ``bar``; None if none does."""
     return next((i for i, v in enumerate(values) if v >= bar), None)
+
+
+def _first_reach(grid: np.ndarray, bar, key=None):
+    """:func:`_first_at_least` on the :func:`_dejmps` walk of each point of
+    a 1-D grid, as arrays: per point, the first round whose fidelity (or
+    ``key`` of it) reaches ``bar`` (a float or one bar per point), that
+    round's value and cumulative discard, and whether it is found.  A point
+    that never reaches its bar keeps round ``MAX_ROUNDS``.  The walk stops
+    once every point has its round, so it holds O(N) floats."""
+    rounds = np.zeros(grid.size, dtype=np.intp)
+    value, discard = np.empty(grid.size), np.empty(grid.size)
+    found = np.zeros(grid.size, dtype=bool)
+    for i, (fid, p_total) in enumerate(_dejmps(grid)):
+        v = fid if key is None else key(fid)
+        todo = ~found
+        np.copyto(rounds, i, where=todo)
+        np.copyto(value, v, where=todo)
+        np.copyto(discard, p_total, where=todo)
+        found |= v >= bar
+        if found.all():
+            break
+    return rounds, value, discard, found
 
 
 def _unreachable(what: str, f) -> ValueError:
@@ -160,10 +164,12 @@ def default_scan_grid(points: int = 10000) -> np.ndarray:
 
 def checkpoint_scan(code_name: str = "933", grid=None) -> np.recarray:
     """Evaluate hybrid vs matching pure DEJMPS across a 1-D input grid, as
-    array ops on the :func:`_dejmps_table` tables: i_pre, i_match and the
-    baseline round are first rows meeting a bar.  ``i_pre``, ``i_match``
-    and ``rate_hybrid`` equal :func:`hybrid_run`'s, ``f_out_hybrid`` to 1
-    ulp (array against scalar ``**``); a scalar test oracle checks ``eff_*``.
+    array ops: i_pre, i_match and the baseline round are each the first
+    round meeting a bar, found by :func:`_first_reach`, which walks DEJMPS
+    lazily and stops once every point has its round: the scan holds O(N)
+    floats, not O(MAX_ROUNDS N).  ``i_pre``, ``i_match`` and
+    ``rate_hybrid`` equal :func:`hybrid_run`'s, ``f_out_hybrid`` to 1 ulp
+    (array against scalar ``**``); a scalar test oracle checks ``eff_*``.
 
     Returns a record array with one record per grid point and the fields
     ``f_in, i_pre, i_match, f_out_dejmps, f_out_hybrid, rate_dejmps,
@@ -184,40 +190,25 @@ def checkpoint_scan(code_name: str = "933", grid=None) -> np.recarray:
         raise ValueError(f"scan grid must lie inside [0.501, 1), got {grid[~inside][0]}")
     poly = builtin_polynomial(code_name)
     threshold = builtin_threshold(code_name)
-    fids, discards = _dejmps_table(grid)
-    cols = np.arange(grid.size)
-
-    i_pre, reached = _first_true(fids >= threshold)
+    i_pre, f_pre, p_hybrid, reached = _first_reach(grid, threshold)
     if not reached.all():
         raise _unreachable(f"threshold {threshold:.6f}", grid[~reached][0])
-    # D row by row, each point keeping the first value that reaches the bar
-    d_base = distillable_entanglement(fids[0])
-    low = d_base < BASELINE_D
-    for row in fids[1:]:
-        if not low.any():
-            break
-        d = distillable_entanglement(row)
-        np.copyto(d_base, d, where=low)
-        low &= d < BASELINE_D
-    if low.any():
-        raise _unreachable(f"distillable entanglement {BASELINE_D}", grid[low][0])
+    _, d_base, _, based = _first_reach(grid, BASELINE_D, key=distillable_entanglement)
+    if not based.all():
+        raise _unreachable(f"distillable entanglement {BASELINE_D}", grid[~based][0])
 
-    f_hybrid = eval_qec_map(poly, fids[i_pre, cols])
+    f_hybrid = eval_qec_map(poly, f_pre)
     ratio_hybrid = poly.k / (2.0**i_pre * poly.n)
-    p_hybrid = discards[i_pre, cols]
     rate_hybrid = ratio_hybrid * (1.0 - p_hybrid)
     eff_hybrid = _refined(ratio_hybrid, f_hybrid, d_base, p_hybrid)
 
-    i_match, matched = _first_true(fids >= f_hybrid)
     # unmatched points report the last round and score zero
-    i_dejmps = np.where(matched, i_match, len(fids) - 1)
-    f_dejmps = fids[i_dejmps, cols]
-    p_dejmps = discards[i_dejmps, cols]
+    i_dejmps, f_dejmps, p_dejmps, matched = _first_reach(grid, f_hybrid)
     rate_dejmps = (1.0 - p_dejmps) / 2.0**i_dejmps
     eff_dejmps = np.where(matched, _refined(1.0 / 2.0**i_dejmps, f_dejmps, d_base, p_dejmps), 0.0)
     winner = np.where(eff_hybrid > eff_dejmps, "hybrid", "dejmps")
     return np.rec.fromarrays(
-        [grid, i_pre, np.where(matched, i_match, None), f_dejmps, f_hybrid,
+        [grid, i_pre, np.where(matched, i_dejmps, None), f_dejmps, f_hybrid,
          rate_dejmps, rate_hybrid, eff_dejmps, eff_hybrid, winner],
         names="f_in,i_pre,i_match,f_out_dejmps,f_out_hybrid,"
         "rate_dejmps,rate_hybrid,eff_dejmps,eff_hybrid,winner",

@@ -1,13 +1,14 @@
 """Scalar strategy oracle for ``entdist.hybrid``.
 
-``checkpoint_scan`` scores every grid point at once, from DEJMPS tables
-and first-row searches.  These functions score one point at a time, from
-the float DEJMPS trace and a linear search, so the hybrid tests compare
-each scan column with them bit for bit.  ``whole_walk_hybrid_run`` is
-``hybrid_run`` taking the whole trace before it searches, the reference
-for the package's walk that stops at its answer.  They read the trace,
-the search and ``MAX_ROUNDS`` through ``entdist.hybrid``, so a test that
-patches ``hybrid.MAX_ROUNDS`` shortens every path.
+``checkpoint_scan`` scores every grid point at once, from array walks of
+DEJMPS and first-round searches.  These functions score one point at a
+time, from the float DEJMPS trace and a linear search, so the hybrid
+tests compare each scan column with them bit for bit.
+``whole_walk_hybrid_run`` is ``hybrid_run`` taking the whole trace before
+it searches, the reference for the package's walk that stops at its
+answer.  They read the trace, the search and ``MAX_ROUNDS`` through
+``entdist.hybrid``, so a test that patches ``hybrid.MAX_ROUNDS`` shortens
+every path.
 """
 
 from entdist.codes import builtin_code

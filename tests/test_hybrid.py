@@ -337,17 +337,18 @@ def test_scan_hybrid_columns_match_hybrid_run(name):
 
 
 @pytest.mark.parametrize("max_rounds", [0, 3, 40])
-def test_dejmps_table_columns_are_the_float_trace(max_rounds, monkeypatch):
+def test_dejmps_array_walk_is_the_float_walk(max_rounds, monkeypatch):
     # 0.97 lies above the 933 threshold: zero rounds reach it
     monkeypatch.setattr(hybrid, "MAX_ROUNDS", max_rounds)
     grid = np.array([0.501, 0.6, 0.8, 0.97, 0.999])
-    fids, discards = hybrid._dejmps_table(grid)
-    assert fids.shape == discards.shape == (max_rounds + 1, grid.size)
-    assert fids.dtype == discards.dtype == np.float64
-    for j, f in enumerate(grid.tolist()):
-        trace_fids, trace_discards = zip(*hybrid._dejmps(f))
-        assert [x.hex() for x in fids[:, j].tolist()] == [x.hex() for x in trace_fids]
-        assert [x.hex() for x in discards[:, j].tolist()] == [x.hex() for x in trace_discards]
+    rows = list(hybrid._dejmps(grid))
+    assert len(rows) == max_rounds + 1
+    float_walks = [list(hybrid._dejmps(f)) for f in grid.tolist()]
+    for i, (fid, discard) in enumerate(rows):
+        assert fid.shape == discard.shape == grid.shape
+        assert fid.dtype == discard.dtype == np.float64
+        assert [x.hex() for x in fid.tolist()] == [walk[i][0].hex() for walk in float_walks]
+        assert [x.hex() for x in discard.tolist()] == [walk[i][1].hex() for walk in float_walks]
     if max_rounds == 40:  # the scalar paths keep returning Python numbers
         assert [type(v) for v in astuple(hybrid_run(0.8))] == [
             float, str, int, float, float, float, float, int
@@ -356,9 +357,41 @@ def test_dejmps_table_columns_are_the_float_trace(max_rounds, monkeypatch):
         assert type(min_rounds_to_fidelity(0.8, 0.95)) is int
 
 
+@pytest.mark.parametrize("max_rounds", [0, 3, 40])
+@pytest.mark.parametrize("case", ["scalar", "per-point", "distillable"])
+def test_first_reach_is_first_at_least_per_point(case, max_rounds, monkeypatch):
+    # the array search against the float walk's search, point by point
+    monkeypatch.setattr(hybrid, "MAX_ROUNDS", max_rounds)
+    rng = np.random.default_rng(36)
+    grid = np.concatenate([0.501 + 0.499 * rng.random(400), [0.501, np.nextafter(1.0, 0.0)]])
+    key = distillable_entanglement if case == "distillable" else None
+    if case == "scalar":
+        bar = 0.9563
+    elif case == "per-point":
+        # met at round 0 (at or below f_in), never met (above 1), and in between
+        bar = np.where(rng.random(grid.size) < 0.5, grid + (1.0 - grid) * rng.random(grid.size),
+                       rng.choice([0.0, 1.5], grid.size))
+        bar[:2] = grid[:2]  # exactly f_in
+    else:
+        bar = hybrid.BASELINE_D
+    rounds, value, discard, found = hybrid._first_reach(grid, bar, key=key)
+    bars = np.broadcast_to(bar, grid.shape).tolist()
+    for j, f in enumerate(grid.tolist()):
+        walk = list(hybrid._dejmps(f))
+        values = [v if key is None else key(v) for v, _ in walk]
+        i = hybrid._first_at_least(values, bars[j])
+        want = max_rounds if i is None else i
+        assert (int(rounds[j]), bool(found[j])) == (want, i is not None), (f, bars[j])
+        assert value[j].item().hex() == float(values[want]).hex(), (f, bars[j])
+        assert discard[j].item().hex() == walk[want][1].hex(), (f, bars[j])
+    if case == "per-point":
+        assert 0 in rounds[found] and not found.all()
+
+
 def test_scan_allocation_peak():
-    # two (MAX_ROUNDS + 1, N) float64 tables, 6.6 MB at 10,000 points, and
-    # D one round-row at a time
+    # the scan keeps O(N) floats, one DEJMPS round at a time, not
+    # O(MAX_ROUNDS N): two (MAX_ROUNDS + 1, N) float64 tables alone would
+    # take 6.6 MB at 10,000 points
     grid = default_scan_grid()
     checkpoint_scan("933", grid[:10])  # threshold, polynomial and code caches
     tracemalloc.start()
@@ -367,7 +400,7 @@ def test_scan_allocation_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12e6
+    assert peak < 4e6
 
 
 def test_scan_round_gap(scan):
