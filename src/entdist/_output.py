@@ -8,8 +8,7 @@ non-finite floats as the strings of their CSV cells.  Files
 are written to a temporary sibling, CSV one block of rows at a time, and
 renamed into place so a failed run never leaves a partial file behind.
 The command line streams the same pieces (:func:`_pieces`) to stdout, so
-both sinks get the same bytes, UTF-8 whatever the locale; a JSON table is
-still one piece, built whole.
+both sinks get the same bytes, UTF-8 whatever the locale.
 
 A CSV float cell is exactly ``format(x, ".17g")``.  For a float array it
 is built by integer arithmetic when ``1e-4 <= |x| < 1e17`` (fixed
@@ -31,7 +30,7 @@ import numpy as np
 __all__ = ["format_cell", "render", "write_table"]
 
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
-_BLOCK = 4096  # CSV rows per formatting block
+_BLOCK = 4096  # CSV rows, or JSON encoder chunks, per piece
 
 # the type of every operand of the 128-bit arithmetic: under numpy 1.24's
 # value-based promotion, uint64 with int64 silently becomes float64
@@ -177,8 +176,8 @@ def _csv_block(columns) -> bytes:
 
 
 def _pieces(table, fmt: str):
-    """The text of :func:`render` in pieces, CSV as the header and blocks of
-    :data:`_BLOCK` rows; checks the column lengths before making any."""
+    """The text of :func:`render` in pieces of :data:`_BLOCK` CSV rows (after
+    the header) or JSON encoder chunks; checks the column lengths first."""
     lengths = {name: len(column) for name, column in table.items()}
     if len(set(lengths.values())) > 1:
         raise ValueError(f"columns of unequal length: {lengths}")
@@ -188,8 +187,11 @@ def _pieces(table, fmt: str):
         return map(_csv_block, itertools.chain([[[name] for name in table]], blocks))
     if fmt == "json":
         values = [[_jsonable(v) for v in _values(column)] for column in table.values()]
-        payload = {"columns": list(table), "rows": [list(row) for row in zip(*values)]}
-        return [(json.dumps(payload, indent=2, allow_nan=False) + "\n").encode()]
+        payload = {"columns": list(table), "rows": list(zip(*values))}
+        # the chunks json.dumps joins whole when it has an indent
+        chunks = json.JSONEncoder(indent=2, allow_nan=False).iterencode(payload)
+        blocks = iter(lambda: "".join(itertools.islice(chunks, _BLOCK)), "")
+        return itertools.chain(map(str.encode, blocks), [b"\n"])
     raise ValueError(f"unknown format {fmt!r}")
 
 

@@ -59,6 +59,7 @@ def _write(args, tables: dict) -> None:
             if i:
                 sys.stdout.buffer.write(b"\n")
             sys.stdout.buffer.writelines(pieces)
+        sys.stdout.buffer.flush()  # a closed stdout raises here, not at exit
         return
     for key, table in tables.items():
         _output.write_table(_table_path(args.output, key), table, args.format)
@@ -296,6 +297,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # the reader is gone, which is not bad input
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the exit-time flush cannot fail
+        return 141  # a shell's status for a writer stopped by SIGPIPE
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -4,12 +4,12 @@ The decoder enumerates all 4^n unsigned Pauli errors in canonical order
 and keeps the first error per syndrome as the stored correction: the
 least-weight error, ties broken by enumeration index.  That is the
 coset-ML choice under depolarizing noise for 913, 933, 513 and 713, not
-for 923, whose counts depend on qubit order.  Canonical order is weight
-ascending, then, within a weight, the 2n-bit string of the x block above
-the z block read as an unsigned integer, qubit 0 the most significant bit
-of each block; it makes the tables reproducible bit for bit.  Classifying
-every error against its correction yields weight-indexed counts A_w of
-decoder-correctable errors, from which the single-round fidelity map
+for 923, whose counts depend on qubit order.  Error m of the enumeration
+is ``PauliString(n, m >> n, m & (2^n - 1))``, its x mask above its z mask;
+canonical order is (weight, m) ascending, which makes the tables
+reproducible bit for bit.  Classifying every error against its correction
+yields weight-indexed counts A_w of decoder-correctable errors, from
+which the single-round fidelity map
 
     F_out = sum_w A_w * F^(n-w) * ((1-F)/3)^w
 
@@ -17,12 +17,9 @@ is evaluated exactly, with no sampling and no grid interpolation.  For
 k > 1 the hard lower-bound convention is used: a block counts as corrected
 only if every logical qubit is error free.
 
-The exhaustive passes work on packed integers.  Error number m of the
-enumeration is the pair of n-bit masks mx = m >> n (x bits) and
-mz = m & (2^n - 1) (z bits), qubit 0 at the most significant bit of each;
-a stabilizer or logical operator is an (ox, oz) pair of masks in the same
-bit order.  The error anticommutes with the operator iff
-parity(mx & oz) ^ parity(mz & ox) is 1: syndromes are linear, so the
+The exhaustive passes work on packed integers.  Error m anticommutes
+with an operator p iff parity((m >> n) & p.z) ^ parity(m & p.x) is 1 (p.x
+has n bits, so it reads only m's z mask): syndromes are linear, so the
 syndrome table of all 4^n errors is the (2^n, 2^n) outer XOR of one
 2^n-entry table per half.  The leader of a syndrome is its error of
 least key (w << 2n) | m: least weight w, then least index, the first in
@@ -74,12 +71,6 @@ def _weights(n: int) -> np.ndarray:
     return w
 
 
-def _mask(bits: int, n: int) -> int:
-    """Reverse an n-bit mask: ``PauliString`` keeps qubit j at bit j, the
-    packed layout at bit n - 1 - j.  The map is its own inverse."""
-    return int(f"{bits:0{n}b}"[::-1], 2)
-
-
 def _syndromes(ops: tuple[PauliString, ...], n: int) -> np.ndarray:
     """Packed syndrome of every error index m against ``ops`` as int32,
     operator 0 at the most significant bit: bit set iff the error
@@ -91,8 +82,8 @@ def _syndromes(ops: tuple[PauliString, ...], n: int) -> np.ndarray:
     sx = np.zeros(2**n, dtype=np.int32)
     sz = np.zeros(2**n, dtype=np.int32)
     for p in ops:
-        sx = (sx << 1) | parity[v & _mask(p.z, n)]
-        sz = (sz << 1) | parity[v & _mask(p.x, n)]
+        sx = (sx << 1) | parity[v & p.z]
+        sz = (sz << 1) | parity[v & p.x]
     return np.bitwise_xor.outer(sx, sz).ravel()
 
 

@@ -104,10 +104,11 @@ def protocol_curves(n_repeaters: int, grid=None, labels=None) -> list[Efficiency
     """Curves for the standard protocols, in envelope order; a label may
     appear once, whatever its case."""
     labels = [lab.upper() for lab in labels] if labels is not None else list(PROTOCOL_SEQUENCES)
+    plans = [protocol_plan(lab, n_repeaters) for lab in labels]  # an unknown label first
     repeated = sorted({lab for lab in labels if labels.count(lab) > 1})
     if repeated:
         raise ValueError(f"repeated protocol label {', '.join(repeated)}")
-    return [efficiency_curve(protocol_plan(lab, n_repeaters), grid, label=lab) for lab in labels]
+    return [efficiency_curve(plan, grid, label=lab) for plan, lab in zip(plans, labels)]
 
 
 def _common_grid(curves) -> np.ndarray:

@@ -76,14 +76,14 @@ def _first_at_least(values, bar) -> int | None:
 
 def _first_reach(grid: np.ndarray, bar, key=None):
     """:func:`_first_at_least` on the :func:`_dejmps` walk of each point of
-    a 1-D grid, as arrays: per point, the first round whose fidelity (or
-    ``key`` of it) reaches ``bar`` (a float or one bar per point), that
-    round's value and cumulative discard, and whether it is found.  A point
-    that never reaches its bar keeps round ``MAX_ROUNDS``.  The walk stops
-    once every point has its round, so it holds O(N) floats."""
-    rounds = np.zeros(grid.size, dtype=np.intp)
-    value, discard = np.empty(grid.size), np.empty(grid.size)
-    found = np.zeros(grid.size, dtype=bool)
+    a 1-D grid, as arrays of ``bar``'s shape broadcast with the grid's: the
+    first round whose fidelity (or ``key`` of it, k rows for k bars) reaches
+    ``bar``, that round's value and discard, and whether it is found.  A
+    point that never reaches its bar keeps round ``MAX_ROUNDS``; the walk
+    stops once every point has its round, so it holds O(N) floats."""
+    shape = np.broadcast_shapes(np.shape(bar), grid.shape)
+    rounds, found = np.zeros(shape, dtype=np.intp), np.zeros(shape, dtype=bool)
+    value, discard = np.empty(shape), np.empty(shape)
     for i, (fid, p_total) in enumerate(_dejmps(grid)):
         v = fid if key is None else key(fid)
         todo = ~found
@@ -164,10 +164,11 @@ def default_scan_grid(points: int = 10000) -> np.ndarray:
 
 def checkpoint_scan(code_name: str = "933", grid=None) -> np.recarray:
     """Evaluate hybrid vs matching pure DEJMPS across a 1-D input grid, as
-    array ops: i_pre, i_match and the baseline round are each the first
-    round meeting a bar, found by :func:`_first_reach`, which walks DEJMPS
-    lazily and stops once every point has its round: the scan holds O(N)
-    floats, not O(MAX_ROUNDS N).  ``i_pre``, ``i_match`` and
+    array ops: :func:`_first_reach` finds i_pre and the baseline round in
+    one lazy walk of DEJMPS, and i_match in a second from round 0, since a
+    hybrid output can lie just below the threshold (923's map lowers F
+    there).  Each walk stops once every point has its round, so the scan
+    holds O(N) floats, not O(MAX_ROUNDS N).  ``i_pre``, ``i_match`` and
     ``rate_hybrid`` equal :func:`hybrid_run`'s, ``f_out_hybrid`` to 1 ulp
     (array against scalar ``**``); a scalar test oracle checks ``eff_*``.
 
@@ -190,12 +191,13 @@ def checkpoint_scan(code_name: str = "933", grid=None) -> np.recarray:
         raise ValueError(f"scan grid must lie inside [0.501, 1), got {grid[~inside][0]}")
     poly = builtin_polynomial(code_name)
     threshold = builtin_threshold(code_name)
-    i_pre, f_pre, p_hybrid, reached = _first_reach(grid, threshold)
-    if not reached.all():
-        raise _unreachable(f"threshold {threshold:.6f}", grid[~reached][0])
-    _, d_base, _, based = _first_reach(grid, BASELINE_D, key=distillable_entanglement)
-    if not based.all():
-        raise _unreachable(f"distillable entanglement {BASELINE_D}", grid[~based][0])
+    bars = np.array([[threshold], [BASELINE_D]])  # the threshold's round and the baseline's, in one walk
+    rounds, (f_pre, d_base), discards, found = _first_reach(
+        grid, bars, key=lambda f: np.stack((f, distillable_entanglement(f))))
+    for hit, what in zip(found, (f"threshold {threshold:.6f}", f"distillable entanglement {BASELINE_D}")):
+        if not hit.all():
+            raise _unreachable(what, grid[~hit][0])
+    i_pre, p_hybrid = rounds[0], discards[0]
 
     f_hybrid = eval_qec_map(poly, f_pre)
     ratio_hybrid = poly.k / (2.0**i_pre * poly.n)

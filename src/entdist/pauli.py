@@ -1,9 +1,12 @@
 """n-qubit Pauli operator arithmetic in binary symplectic form.
 
 A Pauli operator is stored as ``X^x * Z^z`` where ``x`` and ``z`` are
-bitmasks (qubit ``j`` at bit ``j``).  The letter at qubit ``j`` is I/X/Z/Y
-for (x_j, z_j) = (0,0)/(1,0)/(0,1)/(1,1).  Operators are unsigned: syndrome
-decoding reads only commutation, which no phase changes.
+n-bit masks read as the letters are: qubit 0, the leftmost letter, at the
+most significant bit, qubit ``j`` at bit ``n - 1 - j``.  The letter at
+qubit ``j`` is I/X/Z/Y for (x_j, z_j) = (0,0)/(1,0)/(0,1)/(1,1).  Error m
+of :mod:`entdist.decoder`'s enumeration is ``PauliString(n, m >> n,
+m & (2**n - 1))``.  Operators are unsigned: syndrome decoding reads only
+commutation, which no phase changes.
 """
 
 from __future__ import annotations
@@ -27,39 +30,32 @@ class PauliString:
     def __post_init__(self):
         if self.n <= 0:
             raise ValueError(f"qubit count must be positive, got {self.n}")
-        mask = (1 << self.n) - 1
-        if self.x & ~mask or self.z & ~mask:
+        if (self.x | self.z) >> self.n:  # a bit at or above n, or a negative mask
             raise ValueError("bitmask exceeds qubit count")
 
     @classmethod
     def from_string(cls, text: str) -> "PauliString":
-        """Parse a letter string, e.g. ``YIZ``.  A sign prefix (``-iYIZ``)
-        is accepted and dropped.
-
-        Qubit 0 is the leftmost letter, matching the row convention used
-        for stabilizer tables.
-        """
+        """Parse a letter string, e.g. ``YIZ``, qubit 0 leftmost as in the
+        rows of a stabilizer table.  A sign prefix (``-iYIZ``) is accepted
+        and dropped."""
         s = text.strip()
-        for cand in ("-i", "+i", "i", "-", "+"):
-            if s.startswith(cand):
-                s = s[len(cand):]
-                break
+        s = (s[1:] if s[:1] in ("+", "-") else s).removeprefix("i")
         if not s:
             raise ValueError(f"no Pauli letters in {text!r}")
         x = z = 0
-        for j, ch in enumerate(s):
+        for ch in s:
             try:
                 xb, zb = _LETTER_TO_BITS[ch]
             except KeyError:
                 raise ValueError(f"invalid Pauli letter {ch!r} in {text!r}") from None
-            x |= xb << j
-            z |= zb << j
+            x, z = x << 1 | xb, z << 1 | zb
         return cls(len(s), x, z)
 
     def letter(self, j: int) -> str:
         if not 0 <= j < self.n:
             raise IndexError(j)
-        return _BITS_TO_LETTER[((self.x >> j) & 1, (self.z >> j) & 1)]
+        b = self.n - 1 - j
+        return _BITS_TO_LETTER[((self.x >> b) & 1, (self.z >> b) & 1)]
 
     def letters(self) -> str:
         return "".join(self.letter(j) for j in range(self.n))

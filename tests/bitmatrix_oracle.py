@@ -31,13 +31,13 @@ def enumeration(n):
 
 def bit_matrix(ops, n):
     """x and z bit matrices of the operators, one row each, qubit j in
-    column j."""
+    column j (mask bit n - 1 - j)."""
     X = np.zeros((len(ops), n), dtype=np.int64)
     Z = np.zeros((len(ops), n), dtype=np.int64)
     for i, p in enumerate(ops):
         for j in range(n):
-            X[i, j] = (p.x >> j) & 1
-            Z[i, j] = (p.z >> j) & 1
+            X[i, j] = (p.x >> (n - 1 - j)) & 1
+            Z[i, j] = (p.z >> (n - 1 - j)) & 1
     return X, Z
 
 

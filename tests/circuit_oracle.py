@@ -22,9 +22,9 @@ def _cnot_conjugate(p: PauliString) -> PauliString:
     of the control spreads to the target, the Z part of the target spreads
     to the control.  Unsigned (phases do not affect keep/discard or the
     surviving component)."""
-    x0 = p.x & 1
-    z1 = (p.z >> 1) & 1
-    return PauliString(2, p.x ^ (x0 << 1), p.z ^ z1)
+    x0 = p.x >> 1  # qubit 0 is the high bit
+    z1 = p.z & 1
+    return PauliString(2, p.x ^ x0, p.z ^ (z1 << 1))
 
 
 def circuit_oracle(

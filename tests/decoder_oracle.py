@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from entdist.codes import StabilizerCode
-from entdist.decoder import LookupTable, _mask
+from entdist.decoder import LookupTable
 from entdist.pauli import PauliString, commutes_with
 
 
@@ -30,17 +30,12 @@ def weight(p: PauliString) -> int:
 
 
 def canonical_key(p: PauliString) -> tuple[int, int]:
-    """Deterministic total-order key: weight, then the concatenated x and
-    z bits read as an unsigned integer with qubit 0 most significant in
-    each block.  Fixes the tie order among equal-weight errors so that
-    lookup tables are reproducible bit for bit.
+    """Deterministic total-order key: weight, then the x mask above the z
+    mask read as one unsigned integer, the operator's enumeration index.
+    Fixes the tie order among equal-weight errors so that lookup tables
+    are reproducible bit for bit.
     """
-    n = p.n
-    key = 0
-    for j in range(n):
-        key |= ((p.x >> j) & 1) << (2 * n - 1 - j)
-        key |= ((p.z >> j) & 1) << (n - 1 - j)
-    return (weight(p), key)
+    return (weight(p), (p.x << p.n) | p.z)
 
 
 @lru_cache(maxsize=None)
@@ -51,7 +46,7 @@ def entries(lut: LookupTable) -> dict[tuple[int, ...], PauliString]:
     table = {}
     for sid, m in enumerate(lut.leaders.tolist()):
         bits = tuple((sid >> (m_s - 1 - i)) & 1 for i in range(m_s))
-        table[bits] = PauliString(n, _mask(m >> n, n), _mask(m & (2**n - 1), n))
+        table[bits] = PauliString(n, m >> n, m & (2**n - 1))
     return table
 
 

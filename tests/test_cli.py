@@ -199,6 +199,31 @@ def test_stdout_is_utf8_whatever_the_locale(tmp_path):
     assert proc.stdout.splitlines()[1] == "fivé,shape,pass,".encode()
 
 
+@pytest.mark.parametrize(
+    "argv, keep",
+    [
+        (["map", "qec", "--grid", "0:1:200000"], 100),
+        (["map", "qec", "--grid", "0:1:200000", "--format", "json"], 100),
+        (["efficiency", "--repeaters", "1"], 100),
+        (["codes", "list"], 0),
+    ],
+    ids=["csv", "json", "efficiency", "codes-list"],
+)
+def test_closed_stdout_exits_141_quietly(argv, keep):
+    # the reader goes away after `keep` bytes, as `| head -c 100` does: not
+    # bad input (2), and no error text, whether stdout is cut short or unread
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    with subprocess.Popen(
+        [sys.executable, "-m", "entdist.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert len(proc.stdout.read(keep)) == keep
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+    assert err == b""
+
+
 def test_import_leaves_the_thread_pool_unloaded():
     # concurrent.futures loads logging; only a blocked kernel call needs it
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -625,6 +650,10 @@ def test_bad_inputs_exit_nonzero(capsys, tmp_path):
     for protocols in ("P1,P1", "P1,p1"):
         code, _, err = run_cli(capsys, "efficiency", "--protocols", protocols)
         assert code == 2 and "repeated protocol label P1" in err
+    # an unknown label is named before any repeat of it
+    for protocols, name in ((",", "''"), ("P9,P9", "'P9'")):
+        code, _, err = run_cli(capsys, "efficiency", "--protocols", protocols)
+        assert code == 2 and f"error: unknown protocol {name}; expected one of" in err
 
 
 @pytest.mark.parametrize("spec", ["nan:1:3", "0:nan:3", "-inf:1:3", "0:inf:3"])

@@ -161,6 +161,12 @@ def test_repeated_label_refused(labels):
         protocol_curves(1, np.linspace(0.9, 1.0, 5), labels)
 
 
+@pytest.mark.parametrize("labels, name", [(["", ""], "''"), (["P9", "P9"], "'P9'")])
+def test_unknown_label_reported_before_a_repeat(labels, name):
+    with pytest.raises(ValueError, match=f"unknown protocol {name}; expected one of P1, P2, P3, P4"):
+        protocol_curves(1, np.linspace(0.9, 1.0, 5), labels)
+
+
 def test_no_curves_refused():
     assert protocol_curves(1, labels=[]) == []
     for call in (optimal_envelope, switching_points):

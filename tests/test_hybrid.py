@@ -358,34 +358,43 @@ def test_dejmps_array_walk_is_the_float_walk(max_rounds, monkeypatch):
 
 
 @pytest.mark.parametrize("max_rounds", [0, 3, 40])
-@pytest.mark.parametrize("case", ["scalar", "per-point", "distillable"])
+@pytest.mark.parametrize("case", ["scalar", "per-point", "distillable", "stacked"])
 def test_first_reach_is_first_at_least_per_point(case, max_rounds, monkeypatch):
     # the array search against the float walk's search, point by point
     monkeypatch.setattr(hybrid, "MAX_ROUNDS", max_rounds)
     rng = np.random.default_rng(36)
     grid = np.concatenate([0.501 + 0.499 * rng.random(400), [0.501, np.nextafter(1.0, 0.0)]])
-    key = distillable_entanglement if case == "distillable" else None
-    if case == "scalar":
-        bar = 0.9563
-    elif case == "per-point":
-        # met at round 0 (at or below f_in), never met (above 1), and in between
-        bar = np.where(rng.random(grid.size) < 0.5, grid + (1.0 - grid) * rng.random(grid.size),
-                       rng.choice([0.0, 1.5], grid.size))
-        bar[:2] = grid[:2]  # exactly f_in
+    if case == "stacked":
+        # fidelity and distillable entanglement as two rows of one walk, as the scan reads them
+        out = hybrid._first_reach(grid, np.array([[0.9563], [hybrid.BASELINE_D]]),
+                                  key=lambda f: np.stack((f, distillable_entanglement(f))))
+        assert all(a.shape == (2, grid.size) for a in out)
+        searches = [(None, 0.9563, [a[0] for a in out]),
+                    (distillable_entanglement, hybrid.BASELINE_D, [a[1] for a in out])]
     else:
-        bar = hybrid.BASELINE_D
-    rounds, value, discard, found = hybrid._first_reach(grid, bar, key=key)
-    bars = np.broadcast_to(bar, grid.shape).tolist()
-    for j, f in enumerate(grid.tolist()):
-        walk = list(hybrid._dejmps(f))
-        values = [v if key is None else key(v) for v, _ in walk]
-        i = hybrid._first_at_least(values, bars[j])
-        want = max_rounds if i is None else i
-        assert (int(rounds[j]), bool(found[j])) == (want, i is not None), (f, bars[j])
-        assert value[j].item().hex() == float(values[want]).hex(), (f, bars[j])
-        assert discard[j].item().hex() == walk[want][1].hex(), (f, bars[j])
-    if case == "per-point":
-        assert 0 in rounds[found] and not found.all()
+        key = distillable_entanglement if case == "distillable" else None
+        if case == "scalar":
+            bar = 0.9563
+        elif case == "per-point":
+            # met at round 0 (at or below f_in), never met (above 1), and in between
+            bar = np.where(rng.random(grid.size) < 0.5, grid + (1.0 - grid) * rng.random(grid.size),
+                           rng.choice([0.0, 1.5], grid.size))
+            bar[:2] = grid[:2]  # exactly f_in
+        else:
+            bar = hybrid.BASELINE_D
+        searches = [(key, bar, hybrid._first_reach(grid, bar, key=key))]
+    for key, bar, (rounds, value, discard, found) in searches:
+        bars = np.broadcast_to(bar, grid.shape).tolist()
+        for j, f in enumerate(grid.tolist()):
+            walk = list(hybrid._dejmps(f))
+            values = [v if key is None else key(v) for v, _ in walk]
+            i = hybrid._first_at_least(values, bars[j])
+            want = max_rounds if i is None else i
+            assert (int(rounds[j]), bool(found[j])) == (want, i is not None), (f, bars[j])
+            assert value[j].item().hex() == float(values[want]).hex(), (f, bars[j])
+            assert discard[j].item().hex() == walk[want][1].hex(), (f, bars[j])
+        if case == "per-point":
+            assert 0 in rounds[found] and not found.all()
 
 
 def test_scan_allocation_peak():

@@ -149,6 +149,20 @@ def test_render_spans_row_blocks(names):
         assert render(table, fmt) == oracle.render(names, oracle_rows(table), fmt)
 
 
+def test_json_streams_in_pieces():
+    # a row of two cells is five encoder chunks, so this table spans ten
+    # blocks of _BLOCK chunks; the pieces join to what json.dumps builds whole
+    rows = 2 * _output._BLOCK
+    x = np.where(np.arange(rows) % 3 == 0, np.nan, np.linspace(0.0, 1.0, rows))
+    x[1::5] = np.inf
+    s = [None if i % 7 == 0 else f'r"{i}"' for i in range(rows)]
+    pieces = list(_output._pieces({"x": x, "s": s}, "json"))
+    assert len(pieces) > 2 and pieces[-1] == b"\n"
+    cells = [[v if math.isfinite(v) else format_cell(v) for v in x.tolist()], s]
+    payload = {"columns": ["x", "s"], "rows": [list(row) for row in zip(*cells)]}
+    assert b"".join(pieces).decode() == json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
 @pytest.mark.parametrize("rows", [0, 2])
 @pytest.mark.parametrize(
     "column",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from bitmatrix_oracle import enumeration
 from decoder_oracle import canonical_key, multiply, weight
 from entdist.pauli import PauliString, commutes_with
 
@@ -109,8 +110,19 @@ def test_parse_rejects_garbage():
 
 def test_bit_conventions():
     p = P("YIZ")
-    assert (p.x, p.z) == (0b001, 0b101)
+    assert (p.x, p.z) == (0b100, 0b101)
     assert p.letter(0) == "Y" and p.letter(2) == "Z"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_masks_are_the_enumeration_index(n):
+    # error m of the decoder's enumeration is its x mask above its z mask
+    xb, zb, _, _ = enumeration(n)
+    for m in range(4**n):
+        letters = "".join("IXZY"[x + 2 * z] for x, z in zip(xb[m].tolist(), zb[m].tolist()))
+        assert PauliString(n, m >> n, m & (2**n - 1)).letters() == letters
+        p = P(letters)
+        assert (p.x, p.z) == (m >> n, m & (2**n - 1))
 
 
 def test_canonical_key_orders_weight_then_bits():
